@@ -70,8 +70,20 @@ from .report import (
     render_comparison,
     render_economics_text,
 )
-from .sample import CutOff, RankedSample, ScoredRecord, TiePolicy, rank_sample
-from .sample_csv import parse_sample_csv, records_to_csv_text, write_sample_csv
+from .sample import (
+    CutOff,
+    RankedSample,
+    SampleColumns,
+    ScoredRecord,
+    TiePolicy,
+    rank_sample,
+)
+from .sample_csv import (
+    parse_sample_csv,
+    read_sample_columns,
+    records_to_csv_text,
+    write_sample_csv,
+)
 
 __version__ = "0.1.0"
 
@@ -81,7 +93,7 @@ __all__ = [
     "DegenerateClasses", "DuplicateId", "EmptyBatch", "EmptySample",
     "EvaluationContext", "GainsChart", "IndivisibleBuckets", "MalformedRow",
     "ModelEvaluation", "NoResponders", "NonFiniteScore", "RankedSample",
-    "ScoredRecord", "SpreadingLoss", "TiePolicy", "TooFewPoints",
+    "SampleColumns", "ScoredRecord", "SpreadingLoss", "TiePolicy", "TooFewPoints",
     "ToolkitError", "ZeroBaseRate", "attainment_ratio_column", "auc_crosscheck",
     "beni", "beni_at_cutoff", "beni_max", "build_gains_chart", "compare_models",
     "cost_per_responder", "cost_per_thousand", "economics_summary",
@@ -90,7 +102,7 @@ __all__ = [
     "p_up_avg_bucket", "p_up_max_bucket", "p_up_min_bucket",
     "parse_sample_csv", "perfect_rank_sum", "pop_approx",
     "pop_denominator_chart", "pop_denominator_exact", "pop_exact",
-    "pop_numerator_exact", "rank_sample", "records_to_csv_text",
+    "pop_numerator_exact", "rank_sample", "read_sample_columns", "records_to_csv_text",
     "render_combined_chart", "render_comparison", "render_economics_text",
     "render_pop_vs_beni_figure", "selection_count", "spreading_loss",
     "write_sample_csv",

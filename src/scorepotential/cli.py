@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -37,7 +36,9 @@ from .report import (
 )
 from .rounding import to_fraction
 from .sample import CutOff, TiePolicy, rank_sample
-from .sample_csv import parse_sample_csv, records_to_csv_text
+# The parse stage reads columns, never per-row records; it keeps the name
+# under which bench/tracing.py times the CLI's parse layer.
+from .sample_csv import read_sample_columns as parse_sample_csv, records_to_csv_text
 
 IO_ERROR_EXIT = 3
 
@@ -206,8 +207,7 @@ def _manifest(args, parser: argparse.ArgumentParser) -> InputManifest:
 
 
 def _evaluate_path(manifest: InputManifest, path: Path) -> ModelEvaluation:
-    records = parse_sample_csv(path)
-    sample = rank_sample(records, manifest.tie_policy)
+    sample = rank_sample(parse_sample_csv(path), manifest.tie_policy)
     ctx = EvaluationContext(
         sample=sample,
         bucket_count=manifest.bucket_count,
@@ -247,11 +247,7 @@ def _cmd_evaluate(manifest: InputManifest, out) -> int:
 
 
 def _cmd_compare(manifest: InputManifest, out) -> int:
-    # Evaluations are independent; fan out, then reduce deterministically.
-    with ThreadPoolExecutor(max_workers=min(8, len(manifest.sample_paths))) as pool:
-        evaluations = list(
-            pool.map(lambda p: _evaluate_path(manifest, p), manifest.sample_paths)
-        )
+    evaluations = [_evaluate_path(manifest, p) for p in manifest.sample_paths]
     report = compare_models(evaluations)
     out.write(render_comparison(report, manifest.fmt))
     if manifest.figure_path is not None:

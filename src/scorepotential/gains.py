@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import IndivisibleBuckets, NoResponders
 from .rounding import to_fraction
 from .sample import RankedSample
@@ -116,11 +118,7 @@ def build_gains_chart(sample: RankedSample, bucket_count: int) -> GainsChart:
     p_down = bucket_count * k - spacing * ((k - 1) * k) / 2
 
     # Responders per bucket, walking buckets top-down (highest scores first).
-    responder_counts = []
-    for bno in range(bucket_count, 0, -1):
-        lo = (bno - 1) * names_per_bucket
-        chunk = sample.records[lo : lo + names_per_bucket]
-        responder_counts.append(sum(r.response for r in chunk))
+    responder_counts = np.diff(sample.top_responders[::names_per_bucket]).tolist()
 
     buckets = []
     beni_cum = []

@@ -62,8 +62,7 @@ def beni_at_cutoff(sample: RankedSample, cut: CutOff) -> float:
     n = selection_count(sample.size_x, cut)
     if n == 0:
         raise CutoffTooSmall(cut.fraction, sample.size_x)
-    hits = sum(r.response for r in sample.records[-n:])
-    return beni(Fraction(hits, n), sample.response_rate_r)
+    return beni(Fraction(int(sample.top_responders[n]), n), sample.response_rate_r)
 
 
 def perfect_rank_sum(size_x: int, responders_k: int) -> int:
@@ -74,8 +73,12 @@ def perfect_rank_sum(size_x: int, responders_k: int) -> int:
 
 
 def pop_numerator_exact(sample: RankedSample) -> float:
-    """Sum of responder ranks (midranks under ties)."""
-    return sum(rank for rank, rec in zip(sample.ranks, sample.records) if rec.response)
+    """Sum of responder ranks (midranks under ties).
+
+    Summed as doubled ranks in exact integers and halved once, so it is the
+    same float as a running sum of the ranks below 2**53.
+    """
+    return int(sample.twice_ranks[sample.responses].sum()) / 2
 
 
 def pop_denominator_exact(sample: RankedSample) -> float:
@@ -91,19 +94,20 @@ def pop_exact(sample: RankedSample) -> float:
 
 
 def auc_crosscheck(sample: RankedSample) -> float:
-    """Mann-Whitney AUC by direct pairwise score comparison (ties count half).
+    """Mann-Whitney AUC by counting score comparisons (ties count half).
 
-    Independent of the rank-sum path; the affine identity
+    Counts, for every responder, the non-responders scored below it and
+    level with it, by binary search in the sorted non-responder scores:
+    O(X log X) time, O(X) memory.  It reads scores only, never ranks, so it
+    stays independent of the rank-sum path; the affine identity
     P_up = AUC * k(X-k) + k(k+1)/2 ties the two together under midranks.
     """
-    responders = np.array(
-        [r.score for r in sample.records if r.response == 1], dtype=float
-    )
-    others = np.array(
-        [r.score for r in sample.records if r.response == 0], dtype=float
-    )
+    responders = sample.scores[sample.responses]
+    others = np.sort(sample.scores[~sample.responses])
     if responders.size == 0 or others.size == 0:
         raise DegenerateClasses()
-    wins = np.sum(responders[:, None] > others[None, :])
-    ties = np.sum(responders[:, None] == others[None, :])
-    return float((wins + 0.5 * ties) / (responders.size * others.size))
+    below = np.searchsorted(others, responders, side="left")
+    not_above = np.searchsorted(others, responders, side="right")
+    wins = int(below.sum())
+    ties = int(not_above.sum()) - wins
+    return (wins + 0.5 * ties) / (responders.size * others.size)

@@ -1,4 +1,4 @@
-"""Scored records, score-ascending ranking with tie policies, and cut-off fractions."""
+"""Scored records, columnar score-ascending ranking with tie policies, and cut-off fractions."""
 
 from __future__ import annotations
 
@@ -7,7 +7,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import EmptySample, NonFiniteScore
 from .rounding import to_fraction
@@ -59,40 +61,103 @@ class CutOff:
         return f"{float(self.fraction) * 100:g}%"
 
 
-@dataclass(frozen=True)
-class RankedSample:
-    """A test sample ordered by ascending score with ranks 1..#X.
+def _records(ids, scores: np.ndarray, responses: np.ndarray) -> list[ScoredRecord]:
+    return [
+        ScoredRecord(record_id, score, response)
+        for record_id, score, response in zip(ids, scores.tolist(), responses.tolist())
+    ]
 
-    records and ranks are parallel: rank 1 belongs to the lowest score,
-    rank #X to the highest.  Within a tie group the stored record order is
-    already adjusted for the tie policy, so downstream bucket assignment
-    can slice records positionally.
+
+@dataclass(frozen=True, eq=False)
+class SampleColumns:
+    """A scored sample as parallel columns in input order: what the ranker reads.
+
+    ids are kept only to rebuild records; scores are float64 and must be
+    finite, responses are booleans (or 0/1).
     """
 
-    records: tuple[ScoredRecord, ...]
-    ranks: tuple[float, ...]
+    ids: Sequence[str]
+    scores: np.ndarray
+    responses: np.ndarray
+
+    def __post_init__(self):
+        scores = np.asarray(self.scores, dtype=np.float64)
+        responses = np.asarray(self.responses)
+        if not len(self.ids) == len(scores) == len(responses):
+            raise ValueError("ids, scores and responses must be parallel")
+        if responses.dtype != np.bool_ and not np.isin(responses, (0, 1)).all():
+            raise ValueError("responses must be 0 or 1")
+        non_finite = np.flatnonzero(~np.isfinite(scores))
+        if non_finite.size:
+            raise NonFiniteScore(self.ids[non_finite[0]])
+        object.__setattr__(self, "scores", scores)
+        object.__setattr__(self, "responses", responses.astype(np.bool_, copy=False))
+
+    @classmethod
+    def from_records(cls, records: Iterable[ScoredRecord]) -> SampleColumns:
+        records = list(records)
+        return cls(
+            [r.id for r in records],
+            np.array([r.score for r in records], dtype=np.float64),
+            np.array([r.response for r in records], dtype=np.bool_),
+        )
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def records(self) -> list[ScoredRecord]:
+        return _records(self.ids, self.scores, self.responses)
+
+
+@dataclass(frozen=True, eq=False)
+class RankedSample:
+    """A test sample ordered by ascending score, held as read-only columns.
+
+    Position p holds rank p+1's record: rank 1 belongs to the lowest score,
+    rank #X to the highest.  Within a tie group the order is already adjusted
+    for the tie policy, so buckets and cut-offs can slice positionally.
+    twice_ranks holds each rank doubled, as int64, so midranks (halves of
+    integers) stay exact integers.  records and ranks are rebuilt from the
+    columns only when read.
+    """
+
+    ids: np.ndarray
+    scores: np.ndarray
+    responses: np.ndarray
+    twice_ranks: np.ndarray
     tie_policy: TiePolicy = TiePolicy.MIDRANK
 
     def __post_init__(self):
-        if not self.records:
+        for name, dtype in (("ids", object), ("scores", np.float64),
+                            ("responses", np.bool_), ("twice_ranks", np.int64)):
+            column = np.array(getattr(self, name), dtype=dtype)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        n = len(self.ids)
+        if n == 0:
             raise EmptySample()
-        if len(self.records) != len(self.ranks):
-            raise ValueError("records and ranks must be parallel")
-        scores = [r.score for r in self.records]
-        if scores != sorted(scores):
+        if not n == len(self.scores) == len(self.responses) == len(self.twice_ranks):
+            raise ValueError("ids, scores, responses and ranks must be parallel")
+        if not (self.scores[:-1] <= self.scores[1:]).all():
             raise ValueError("records must be ordered by ascending score")
-        n = len(self.records)
-        # Ranks are halves of integers, so this float sum is exact below 2**52.
-        if sum(self.ranks) != n * (n + 1) / 2:
+        if int(self.twice_ranks.sum()) != n * (n + 1):
             raise ValueError("rank sum must equal #X(#X+1)/2")
 
     @property
     def size_x(self) -> int:
-        return len(self.records)
+        return len(self.ids)
+
+    @cached_property
+    def top_responders(self) -> np.ndarray:
+        """Entry n counts the responders among the n highest-ranked records (n = 0..#X)."""
+        counts = np.zeros(self.size_x + 1, dtype=np.int64)
+        np.cumsum(self.responses[::-1], out=counts[1:])
+        counts.flags.writeable = False
+        return counts
 
     @cached_property
     def responders_k(self) -> int:
-        return sum(r.response for r in self.records)
+        return int(self.top_responders[-1])
 
     @cached_property
     def response_rate_r(self) -> Fraction:
@@ -100,46 +165,50 @@ class RankedSample:
 
     @cached_property
     def has_ties(self) -> bool:
-        return any(
-            a.score == b.score for a, b in zip(self.records, self.records[1:])
-        )
+        return bool((self.scores[:-1] == self.scores[1:]).any())
+
+    @cached_property
+    def records(self) -> tuple[ScoredRecord, ...]:
+        return tuple(_records(self.ids, self.scores, self.responses))
+
+    @cached_property
+    def ranks(self) -> tuple[float, ...]:
+        return tuple((self.twice_ranks / 2).tolist())
 
 
 def rank_sample(
-    records: Iterable[ScoredRecord],
+    sample: SampleColumns | Iterable[ScoredRecord],
     tie_policy: TiePolicy = TiePolicy.MIDRANK,
 ) -> RankedSample:
-    """Rank records ascending by score, resolving ties per the given policy.
+    """Rank a sample ascending by score, resolving ties per the given policy.
 
-    Input order is preserved within tie groups (before the policy reorders
-    responders), which makes ranking deterministic for repeated runs.
+    Takes columns, or records whose columns are extracted first.  The sorts
+    are stable, so input order is preserved within tie groups (before the
+    policy moves responders), which makes ranking deterministic for repeated
+    runs.
     """
-    ordered = sorted(records, key=lambda r: r.score)
-    if not ordered:
-        raise EmptySample()
-    n = len(ordered)
-    ranks = [0.0] * n
+    columns = sample if isinstance(sample, SampleColumns) else SampleColumns.from_records(sample)
+    n = len(columns)
+    if tie_policy is TiePolicy.MIDRANK:
+        order = np.argsort(columns.scores, kind="stable")
+    elif tie_policy is TiePolicy.PESSIMISTIC:
+        order = np.lexsort((~columns.responses, columns.scores))
+    else:
+        order = np.lexsort((columns.responses, columns.scores))
+    scores = columns.scores[order]
 
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and ordered[j + 1].score == ordered[i].score:
-            j += 1
-        if i == j:
-            ranks[i] = float(i + 1)
-        elif tie_policy is TiePolicy.MIDRANK:
-            mid = (i + 1 + j + 1) / 2
-            for p in range(i, j + 1):
-                ranks[p] = mid
-        else:
-            group = ordered[i : j + 1]
-            if tie_policy is TiePolicy.PESSIMISTIC:
-                group.sort(key=lambda r: -r.response)
-            else:
-                group.sort(key=lambda r: r.response)
-            ordered[i : j + 1] = group
-            for p in range(i, j + 1):
-                ranks[p] = float(p + 1)
-        i = j + 1
+    if tie_policy is TiePolicy.MIDRANK:
+        # A tie group over positions i..j shares the midrank (i+1 + j+1)/2.
+        starts = np.flatnonzero(np.concatenate(([True], scores[1:] != scores[:-1])))
+        ends = np.append(starts[1:], n) - 1
+        twice_ranks = np.repeat(starts + ends + 2, ends - starts + 1)
+    else:
+        twice_ranks = np.arange(2, 2 * n + 1, 2)
 
-    return RankedSample(tuple(ordered), tuple(ranks), tie_policy)
+    return RankedSample(
+        np.array(columns.ids, dtype=object)[order],
+        scores,
+        columns.responses[order],
+        twice_ranks,
+        tie_policy,
+    )

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from scorepotential import ScoredRecord, rank_sample
+from scorepotential import ScoredRecord, TiePolicy, rank_sample
 
 # Score/response pairs of the ten-name worked sample: three responders whose
 # scores rank 9th, 6th and 5th from the bottom.
@@ -71,6 +72,48 @@ def brute_force_pop(records) -> float:
     numerator = sum(pos for pos, rec in enumerate(ordered, start=1) if rec.response)
     denominator = sum(range(n - k + 1, n + 1))
     return 100 * numerator / denominator
+
+
+def reference_rank(records, tie_policy=TiePolicy.MIDRANK):
+    """Record-by-record ranking loop, the oracle for the columnar ranker.
+
+    Returns the records in ascending rank order and their parallel ranks.
+    """
+    ordered = sorted(records, key=lambda r: r.score)
+    n = len(ordered)
+    ranks = [0.0] * n
+
+    i = 0
+    while i < n:
+        j = i
+        while j + 1 < n and ordered[j + 1].score == ordered[i].score:
+            j += 1
+        if i == j:
+            ranks[i] = float(i + 1)
+        elif tie_policy is TiePolicy.MIDRANK:
+            mid = (i + 1 + j + 1) / 2
+            for p in range(i, j + 1):
+                ranks[p] = mid
+        else:
+            group = ordered[i : j + 1]
+            if tie_policy is TiePolicy.PESSIMISTIC:
+                group.sort(key=lambda r: -r.response)
+            else:
+                group.sort(key=lambda r: r.response)
+            ordered[i : j + 1] = group
+            for p in range(i, j + 1):
+                ranks[p] = float(p + 1)
+        i = j + 1
+    return tuple(ordered), tuple(ranks)
+
+
+def pairwise_auc(records) -> float:
+    """Mann-Whitney AUC from the full responder x non-responder comparison matrix."""
+    responders = np.array([r.score for r in records if r.response == 1], dtype=float)
+    others = np.array([r.score for r in records if r.response == 0], dtype=float)
+    wins = np.sum(responders[:, None] > others[None, :])
+    ties = np.sum(responders[:, None] == others[None, :])
+    return float((wins + 0.5 * ties) / (responders.size * others.size))
 
 
 @pytest.fixture

@@ -216,3 +216,31 @@ def test_console_entrypoint_is_installed():
     import shutil
 
     assert shutil.which("scorepotential") is not None
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import scorepotential
+
+    src = Path(scorepotential.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+
+    def run(*argv: str) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, "-m", "scorepotential", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+
+    sample = tmp_path / "gen.csv"
+    proc = run("gen", "--size", "20", "--rate", "0.25", "--quality", "0.5",
+               "--seed", "3", "-o", str(sample))
+    assert proc.returncode == 0, proc.stderr
+    proc = run("evaluate", str(sample), "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["model_id"] == "gen"
+
+    malformed = tmp_path / "malformed.csv"
+    malformed.write_text("id,score,response\nx,1_0,1\n", encoding="utf-8")
+    assert run("evaluate", str(malformed)).returncode == 21

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from scorepotential import (
@@ -9,7 +10,9 @@ from scorepotential import (
     DuplicateId,
     EmptySample,
     MalformedRow,
+    ScoredRecord,
     parse_sample_csv,
+    read_sample_columns,
     write_sample_csv,
 )
 from tests.conftest import ten_name_records
@@ -108,3 +111,37 @@ def test_round_trip_preserves_full_float_precision(tmp_path):
     path = tmp_path / "gen.csv"
     write_sample_csv(records, path)
     assert parse_sample_csv(path) == records
+
+
+def test_blank_first_line_does_not_skip_the_header_check(tmp_path):
+    path = _write(tmp_path, "\nname,value,hit\nx,1.0,0\n")
+    with pytest.raises(MalformedRow) as excinfo:
+        parse_sample_csv(path)
+    assert excinfo.value.line_no == 2
+    assert "header" in excinfo.value.reason
+
+    path = _write(tmp_path, "\nid,score,response\nx,1.0,1\n")
+    assert parse_sample_csv(path) == [ScoredRecord("x", 1.0, 1)]
+
+
+def test_score_must_be_an_ascii_decimal_literal(tmp_path):
+    for bad in ("١", "1_0", "٣.٥"):
+        path = _write(tmp_path, f"id,score,response\nx,{bad},0\n")
+        with pytest.raises(MalformedRow) as excinfo:
+            parse_sample_csv(path)
+        assert excinfo.value.line_no == 2
+        assert excinfo.value.exit_code == 21
+
+
+def test_exponent_and_signed_scores_stay_valid(tmp_path):
+    path = _write(tmp_path, "id,score,response\na,1e-05,0\nb,2.5E+10,1\nc,-0.0,0\nd,.5,1\n")
+    assert [r.score for r in parse_sample_csv(path)] == [1e-05, 2.5e10, 0.0, 0.5]
+
+
+def test_columns_hold_what_the_records_hold(tmp_path):
+    path = tmp_path / "t3.csv"
+    write_sample_csv(ten_name_records(), path)
+    columns = read_sample_columns(path)
+    assert list(columns.ids) == [r.id for r in ten_name_records()]
+    assert columns.scores.dtype == np.float64 and columns.responses.dtype == np.bool_
+    assert columns.records() == parse_sample_csv(path)

@@ -6,7 +6,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from scorepotential import (
     CutOff,
@@ -21,6 +21,7 @@ from scorepotential import (
     pop_numerator_exact,
     rank_sample,
 )
+from tests.conftest import pairwise_auc, reference_rank
 
 
 @st.composite
@@ -205,3 +206,69 @@ def test_pop_exact_ignores_cutoffs_used_elsewhere(records):
     for cut in (CutOff(Fraction(1, 2)), CutOff(Fraction(1))):
         beni_at_cutoff(sample, cut)
     assert pop_exact(sample) == before
+
+
+# Scores drawn from a small pool: long tie groups, and -0.0 beside 0.0 (equal
+# scores whose sign must survive ranking).
+SCORE_POOL = [-1.5, -0.0, 0.0, 0.5, 1.0, 2.0]
+
+
+@st.composite
+def pooled_score_records(draw, min_size=1, max_size=40, need_responder=False):
+    size = draw(st.integers(min_size, max_size))
+    scores = draw(st.lists(st.sampled_from(SCORE_POOL), min_size=size, max_size=size))
+    responses = list(draw(st.lists(st.integers(0, 1), min_size=size, max_size=size)))
+    if need_responder and sum(responses) == 0:
+        responses[draw(st.integers(0, size - 1))] = 1
+    return [
+        ScoredRecord(f"n{i}", s, r) for i, (s, r) in enumerate(zip(scores, responses))
+    ]
+
+
+@given(records=pooled_score_records(), policy=st.sampled_from(list(TiePolicy)))
+def test_columnar_ranking_matches_the_reference_loop(records, policy):
+    sample = rank_sample(records, policy)
+    expected_records, expected_ranks = reference_rank(records, policy)
+    assert sample.records == expected_records
+    assert [math.copysign(1.0, r.score) for r in sample.records] == [
+        math.copysign(1.0, r.score) for r in expected_records
+    ]
+    assert sample.ranks == expected_ranks
+    assert sample.has_ties == any(
+        a.score == b.score for a, b in zip(expected_records, expected_records[1:])
+    )
+
+
+@given(records=pooled_score_records(need_responder=True),
+       policy=st.sampled_from(list(TiePolicy)))
+def test_metrics_equal_slice_sum_references(records, policy):
+    sample = rank_sample(records, policy)
+    ordered, ranks = reference_rank(records, policy)
+    x = len(ordered)
+    k = sum(r.response for r in ordered)
+
+    numerator = sum(rank for rank, rec in zip(ranks, ordered) if rec.response)
+    assert pop_numerator_exact(sample) == numerator
+    assert pop_exact(sample) == 100.0 * numerator / float(perfect_rank_sum(x, k))
+
+    base_rate = Fraction(k, x)
+    for n in range(1, x + 1):
+        hits = sum(r.response for r in ordered[-n:])
+        assert beni_at_cutoff(sample, CutOff(Fraction(n, x))) == float(
+            Fraction(hits, n) / base_rate * 100
+        )
+
+    for bucket_count in (b for b in range(1, x + 1) if x % b == 0):
+        per_bucket = x // bucket_count
+        expected = [
+            sum(r.response for r in ordered[(bno - 1) * per_bucket : bno * per_bucket])
+            for bno in range(bucket_count, 0, -1)
+        ]
+        chart = build_gains_chart(sample, bucket_count)
+        assert [b.responders for b in chart.buckets] == expected
+
+
+@given(records=pooled_score_records(min_size=2))
+def test_auc_equals_the_pairwise_count(records):
+    assume(0 < sum(r.response for r in records) < len(records))
+    assert auc_crosscheck(rank_sample(records)) == pairwise_auc(records)

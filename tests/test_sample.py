@@ -4,12 +4,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from scorepotential import (
     CutOff,
     EmptySample,
     NonFiniteScore,
+    RankedSample,
+    SampleColumns,
     ScoredRecord,
     TiePolicy,
     rank_sample,
@@ -125,3 +128,50 @@ def test_ten_name_records_fixture_is_the_worked_sample():
     records = ten_name_records()
     assert len(records) == 10
     assert sum(r.response for r in records) == 3
+
+
+def test_ranked_columns_are_read_only(ten_name_sample):
+    for column in (ten_name_sample.ids, ten_name_sample.scores,
+                   ten_name_sample.responses, ten_name_sample.twice_ranks,
+                   ten_name_sample.top_responders):
+        with pytest.raises(ValueError):
+            column[0] = column[1]
+
+
+def test_midranks_are_stored_doubled():
+    records = [ScoredRecord("a", 1.0, 0), ScoredRecord("b", 2.0, 1),
+               ScoredRecord("c", 2.0, 0), ScoredRecord("d", 3.0, 1)]
+    sample = rank_sample(records)
+    assert sample.twice_ranks.tolist() == [2, 5, 5, 8]
+    assert sample.top_responders.tolist() == [0, 1, 1, 2, 2]
+
+
+def test_ranked_sample_validates_its_columns():
+    ids = np.array(["a", "b"], dtype=object)
+    with pytest.raises(EmptySample):
+        RankedSample(ids[:0], [], [], [])
+    with pytest.raises(ValueError, match="parallel"):
+        RankedSample(ids, [1.0, 2.0], [False, True], [2])
+    with pytest.raises(ValueError, match="ascending"):
+        RankedSample(ids, [2.0, 1.0], [False, True], [2, 4])
+    with pytest.raises(ValueError, match="rank sum"):
+        RankedSample(ids, [1.0, 2.0], [False, True], [2, 2])
+
+
+def test_columns_rank_like_the_records_they_hold():
+    records = ten_name_records()
+    columns = SampleColumns.from_records(records)
+    assert len(columns) == 10
+    assert columns.records() == records
+    for policy in TiePolicy:
+        assert rank_sample(columns, policy).records == rank_sample(records, policy).records
+
+
+def test_sample_columns_validate_their_input():
+    with pytest.raises(ValueError, match="parallel"):
+        SampleColumns(["a", "b"], [1.0], [0])
+    with pytest.raises(ValueError, match="0 or 1"):
+        SampleColumns(["a"], [1.0], [2])
+    with pytest.raises(NonFiniteScore) as excinfo:
+        SampleColumns(["a", "b"], [1.0, float("nan")], [0, 1])
+    assert excinfo.value.record_id == "b"
