@@ -41,12 +41,10 @@ from .figure import render_pop_vs_beni_figure
 from .gains import (
     Bucket,
     GainsChart,
-    attainment_ratio_column,
     build_gains_chart,
     p_up_avg_bucket,
     p_up_max_bucket,
     p_up_min_bucket,
-    pop_approx,
     pop_denominator_chart,
 )
 from .metrics import (
@@ -94,13 +92,13 @@ __all__ = [
     "EvaluationContext", "GainsChart", "IndivisibleBuckets", "MalformedRow",
     "ModelEvaluation", "NoResponders", "NonFiniteScore", "RankedSample",
     "SampleColumns", "ScoredRecord", "SpreadingLoss", "TiePolicy", "TooFewPoints",
-    "ToolkitError", "ZeroBaseRate", "attainment_ratio_column", "auc_crosscheck",
+    "ToolkitError", "ZeroBaseRate", "auc_crosscheck",
     "beni", "beni_at_cutoff", "beni_max", "build_gains_chart", "compare_models",
     "cost_per_responder", "cost_per_thousand", "economics_summary",
     "evaluate_model", "evaluation_from_csv", "evaluation_from_dict",
     "evaluation_to_csv", "evaluation_to_dict", "generate_sample",
     "p_up_avg_bucket", "p_up_max_bucket", "p_up_min_bucket",
-    "parse_sample_csv", "perfect_rank_sum", "pop_approx",
+    "parse_sample_csv", "perfect_rank_sum",
     "pop_denominator_chart", "pop_denominator_exact", "pop_exact",
     "pop_numerator_exact", "rank_sample", "read_sample_columns", "records_to_csv_text",
     "render_combined_chart", "render_comparison", "render_economics_text",

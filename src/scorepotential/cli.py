@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -103,20 +102,6 @@ def _money(text: str) -> Fraction:
     return value
 
 
-@dataclass(frozen=True)
-class InputManifest:
-    """Validated per-invocation settings for evaluate/compare."""
-
-    sample_paths: tuple[Path, ...]
-    bucket_count: int
-    cutoffs: tuple[CutOff, ...]
-    stretch_target: float | None
-    tie_policy: TiePolicy
-    fmt: str
-    economics: CampaignEconomics | None
-    figure_path: Path | None
-
-
 def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--buckets", type=_positive_int, default=10,
                         help="number of gains-chart buckets (default 10)")
@@ -189,30 +174,13 @@ def _economics_from_args(args, parser: argparse.ArgumentParser) -> CampaignEcono
         parser.error(str(err))
 
 
-def _manifest(args, parser: argparse.ArgumentParser) -> InputManifest:
-    paths = tuple(getattr(args, "samples", None) or [args.sample])
-    stems = [p.stem for p in paths]
-    if len(set(stems)) != len(stems):
-        parser.error("sample files must have distinct names (model ids come from them)")
-    return InputManifest(
-        sample_paths=paths,
-        bucket_count=args.buckets,
-        cutoffs=args.cutoffs,
-        stretch_target=args.target,
-        tie_policy=TiePolicy(args.ties),
-        fmt=args.fmt,
-        economics=_economics_from_args(args, parser) if hasattr(args, "total_cost") else None,
-        figure_path=getattr(args, "figure", None),
-    )
-
-
-def _evaluate_path(manifest: InputManifest, path: Path) -> ModelEvaluation:
-    sample = rank_sample(parse_sample_csv(path), manifest.tie_policy)
+def _evaluate_path(args, path: Path) -> ModelEvaluation:
+    sample = rank_sample(parse_sample_csv(path), TiePolicy(args.ties))
     ctx = EvaluationContext(
         sample=sample,
-        bucket_count=manifest.bucket_count,
-        cutoffs_of_interest=manifest.cutoffs,
-        stretch_target=manifest.stretch_target,
+        bucket_count=args.buckets,
+        cutoffs_of_interest=args.cutoffs,
+        stretch_target=args.target,
     )
     return evaluate_model(ctx, model_id=path.stem)
 
@@ -227,37 +195,39 @@ def _reference_attainment(evaluation: ModelEvaluation) -> float:
     return list(evaluation.beni_profile.values())[-1].attainment_ratio
 
 
-def _cmd_evaluate(manifest: InputManifest, out) -> int:
-    evaluation = _evaluate_path(manifest, manifest.sample_paths[0])
-    if manifest.economics is not None:
-        if manifest.fmt == "json":
+def _cmd_evaluate(args, parser: argparse.ArgumentParser, out) -> int:
+    economics = _economics_from_args(args, parser)
+    evaluation = _evaluate_path(args, args.sample)
+    if economics is not None:
+        if args.fmt == "json":
             out.write(to_json({
                 "evaluation": evaluation_to_dict(evaluation),
-                "economics": economics_summary(manifest.economics),
+                "economics": economics_summary(economics),
             }))
-        elif manifest.fmt == "csv":
-            out.write(evaluation_to_csv(evaluation, economics=manifest.economics))
+        elif args.fmt == "csv":
+            out.write(evaluation_to_csv(evaluation, economics=economics))
         else:
             out.write(render_combined_chart(evaluation, "text"))
             out.write("\n")
-            out.write(render_economics_text(manifest.economics))
+            out.write(render_economics_text(economics))
         return 0
-    out.write(render_combined_chart(evaluation, manifest.fmt))
+    out.write(render_combined_chart(evaluation, args.fmt))
     return 0
 
 
-def _cmd_compare(manifest: InputManifest, out) -> int:
-    evaluations = [_evaluate_path(manifest, p) for p in manifest.sample_paths]
+def _cmd_compare(args, parser: argparse.ArgumentParser, out) -> int:
+    stems = [p.stem for p in args.samples]
+    if len(set(stems)) != len(stems):
+        parser.error("sample files must have distinct names (model ids come from them)")
+    evaluations = [_evaluate_path(args, p) for p in args.samples]
     report = compare_models(evaluations)
-    out.write(render_comparison(report, manifest.fmt))
-    if manifest.figure_path is not None:
+    out.write(render_comparison(report, args.fmt))
+    if args.figure is not None:
         series = [
             (e.model_id, e.pop_exact, _reference_attainment(e))
             for e in report.evaluations
         ]
-        manifest.figure_path.write_text(
-            render_pop_vs_beni_figure(series), encoding="utf-8"
-        )
+        args.figure.write_text(render_pop_vs_beni_figure(series), encoding="utf-8")
     return 0
 
 
@@ -286,9 +256,9 @@ def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
     try:
         if args.command == "evaluate":
-            return _cmd_evaluate(_manifest(args, parser), out)
+            return _cmd_evaluate(args, parser, out)
         if args.command == "compare":
-            return _cmd_compare(_manifest(args, parser), out)
+            return _cmd_compare(args, parser, out)
         if args.command == "gen":
             return _cmd_gen(args, out)
         if args.command == "econ":

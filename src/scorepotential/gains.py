@@ -17,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import IndivisibleBuckets, NoResponders
+from .metrics import arithmetic_row, beni_ceiling, benefit_ratio
 from .rounding import to_fraction
 from .sample import RankedSample
 
@@ -70,18 +71,15 @@ def p_up_max_bucket(bucket_no: int, responders: int, spacing) -> float:
     """Bucket rank sum if all responders sit at the bucket top (descending row)."""
     if bucket_no < 1 or responders < 0:
         raise ValueError("bucket_no must be >= 1 and responders >= 0")
-    s = to_fraction(spacing)
-    return float(bucket_no * responders - s * ((responders - 1) * responders) / 2)
+    return float(arithmetic_row(bucket_no, -to_fraction(spacing), responders))
 
 
 def p_up_min_bucket(bucket_no: int, responders: int, spacing) -> float:
     """Bucket rank sum if all responders sit at the bucket bottom (ascending row)."""
     if bucket_no < 1 or responders < 0:
         raise ValueError("bucket_no must be >= 1 and responders >= 0")
-    if responders == 0:
-        return 0.0
     s = to_fraction(spacing)
-    return float((bucket_no - 1 + s) * responders + s * ((responders - 1) * responders) / 2)
+    return float(arithmetic_row(bucket_no - 1 + s, s, responders))
 
 
 def p_up_avg_bucket(max_value: float, min_value: float) -> float:
@@ -99,8 +97,7 @@ def pop_denominator_chart(bucket_count: int, responders_k: int, spacing) -> floa
     """
     if responders_k < 1:
         raise NoResponders()
-    s = to_fraction(spacing)
-    return float(bucket_count * responders_k - s * ((responders_k - 1) * responders_k) / 2)
+    return float(arithmetic_row(bucket_count, -to_fraction(spacing), responders_k))
 
 
 def build_gains_chart(sample: RankedSample, bucket_count: int) -> GainsChart:
@@ -114,8 +111,9 @@ def build_gains_chart(sample: RankedSample, bucket_count: int) -> GainsChart:
 
     names_per_bucket = size // bucket_count
     spacing = Fraction(bucket_count, size)
+    down_step = -spacing  # the step of the descending rows (bucket tops, P-down)
     base_rate = sample.response_rate_r
-    p_down = bucket_count * k - spacing * ((k - 1) * k) / 2
+    p_down = arithmetic_row(bucket_count, down_step, k)
 
     # Responders per bucket, walking buckets top-down (highest scores first).
     responder_counts = np.diff(sample.top_responders[::names_per_bucket]).tolist()
@@ -133,31 +131,25 @@ def build_gains_chart(sample: RankedSample, bucket_count: int) -> GainsChart:
     cum_names = 0
     for row, resp in enumerate(responder_counts):
         bno = bucket_count - row
-        mx = bno * resp - spacing * ((resp - 1) * resp) / 2
-        mn = Fraction(0) if resp == 0 else (bno - 1 + spacing) * resp + spacing * ((resp - 1) * resp) / 2
-        avg = (mx + mn) / 2
-        sum_max += mx
-        sum_min += mn
-        sum_avg += avg
         cum_resp += resp
         cum_names += names_per_bucket
+        if resp == 0:  # every marginal column is 0
+            marginal = (0.0, 0.0, 0.0, 0.0, 0.0)
+        else:
+            mx = arithmetic_row(bno, down_step, resp)
+            mn = arithmetic_row(bno - 1 + spacing, spacing, resp)
+            avg = (mx + mn) / 2
+            sum_max += mx
+            sum_min += mn
+            sum_avg += avg
+            beni_m = benefit_ratio(Fraction(resp, names_per_bucket), base_rate)
+            marginal = (float(mx), float(mn), float(avg), float(beni_m),
+                        float(avg / p_down * 100))
 
-        beni_m = Fraction(resp, names_per_bucket) / base_rate * 100
-        beni_c = Fraction(cum_resp, cum_names) / base_rate * 100
+        beni_c = benefit_ratio(Fraction(cum_resp, cum_names), base_rate)
         row_cut = Fraction(cum_names, size)
-        ceiling = 100 / row_cut if base_rate < row_cut else 100 / base_rate
-        buckets.append(
-            Bucket(
-                bucket_no=bno,
-                names=names_per_bucket,
-                responders=resp,
-                p_up_max=float(mx),
-                p_up_min=float(mn),
-                p_up_avg=float(avg),
-                beni_marginal=float(beni_m),
-                pop_marginal=float(avg / p_down * 100),
-            )
-        )
+        ceiling = beni_ceiling(row_cut, base_rate)
+        buckets.append(Bucket(bno, names_per_bucket, resp, *marginal))
         beni_cum.append(float(beni_c))
         beni_max_cum.append(float(ceiling))
         attainment.append(float(beni_c / ceiling * 100))
@@ -180,23 +172,3 @@ def build_gains_chart(sample: RankedSample, bucket_count: int) -> GainsChart:
         pop_cumulative=tuple(pop_cum),
         row_cutoffs=tuple(row_cutoffs),
     )
-
-
-def pop_approx(chart: GainsChart, variant: str = "avg") -> float:
-    """Approximate score potential of a chart.
-
-    variant selects the numerator: "avg" (default), "max" (all responders at
-    their bucket tops, the stretch reading) or "min".
-    """
-    if variant == "avg":
-        return chart.pop_approx
-    if variant == "max":
-        return chart.pop_max_variant
-    if variant == "min":
-        return chart.pop_min_variant
-    raise ValueError(f"unknown variant {variant!r}")
-
-
-def attainment_ratio_column(chart: GainsChart) -> list[float]:
-    """Cumulative BenI over cumulative BenI ceiling per row, in percent."""
-    return list(chart.attainment_ratio)

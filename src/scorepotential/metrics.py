@@ -23,6 +23,29 @@ from .rounding import round_half_up, to_fraction
 from .sample import CutOff, RankedSample
 
 
+def arithmetic_row(first, step, count: int):
+    """Sum of the count terms first, first + step, ...: first*count + step*count(count-1)/2.
+
+    Exact on ints and Fractions.  The best rank sum (perfect_rank_sum), the
+    bucket rank-sum bounds and the chart's P-down are all such rows.
+    """
+    return first * count + step * (count * (count - 1) // 2)
+
+
+def benefit_ratio(optimized: Fraction, base: Fraction) -> Fraction:
+    """Exact benefit index: optimized response rate over base rate, times 100."""
+    return optimized / base * 100
+
+
+def beni_ceiling(cut: Fraction, base: Fraction) -> Fraction:
+    """Exact benefit-index ceiling at a cut-off.
+
+    100/cut-off while the base rate is below the cut-off; once the pass set
+    could consist purely of responders the ceiling is 100/base-rate instead.
+    """
+    return 100 / max(cut, base)
+
+
 def beni(optimized_rate, base_rate) -> float:
     """Benefit index: optimized response rate over base rate, times 100."""
     optimized = to_fraction(optimized_rate)
@@ -31,23 +54,17 @@ def beni(optimized_rate, base_rate) -> float:
         raise ZeroBaseRate()
     if not (0 <= optimized <= 1 and 0 < base <= 1):
         raise ValueError("response rates must lie in [0, 1]")
-    return float(optimized / base * 100)
+    return float(benefit_ratio(optimized, base))
 
 
 def beni_max(cut: CutOff, base_rate) -> float:
-    """Theoretical ceiling of the benefit index at a cut-off.
-
-    100/cut-off while the base rate is below the cut-off; once the pass set
-    could consist purely of responders the ceiling is 100/base-rate instead.
-    """
+    """Theoretical ceiling of the benefit index at a cut-off (see beni_ceiling)."""
     base = to_fraction(base_rate)
     if base == 0:
         raise ZeroBaseRate()
     if not 0 < base <= 1:
         raise ValueError("base rate must lie in (0, 1]")
-    if base < cut.fraction:
-        return float(100 / cut.fraction)
-    return float(100 / base)
+    return float(beni_ceiling(cut.fraction, base))
 
 
 def selection_count(sample_size: int, cut: CutOff) -> int:
@@ -69,7 +86,7 @@ def perfect_rank_sum(size_x: int, responders_k: int) -> int:
     """Sum of the top-k ranks of a size-X sample: k*X - k(k-1)/2."""
     if not 0 <= responders_k <= size_x:
         raise ValueError("responder count must lie in [0, sample size]")
-    return responders_k * size_x - responders_k * (responders_k - 1) // 2
+    return arithmetic_row(size_x, -1, responders_k)
 
 
 def pop_numerator_exact(sample: RankedSample) -> float:

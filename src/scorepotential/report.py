@@ -11,8 +11,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections import namedtuple
+from dataclasses import fields, is_dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
+from functools import cache
+from itertools import groupby
+from operator import attrgetter
+from typing import Callable, get_args, get_origin, get_type_hints
 
 from .economics import (
     CampaignEconomics,
@@ -135,277 +141,233 @@ def render_evaluation_text(evaluation: ModelEvaluation) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The machine formats follow the fields and annotations of the report
+# classes; the annotation picks each value's codec (_codec).  Only the CSV
+# column order is written down by hand.
+META_CSV_COLUMNS = [
+    "model_id", "pop_exact", "pop_approx", "pop_approx_min", "pop_approx_max",
+    "stretch_target", "meets_stretch_target", "degeneracy_flags",
+    "bucket_count", "sample_size", "base_rate", "spacing", "p_down_chart",
+]
+
+# Fields whose CSV column has another name.  The chart's pop_approx,
+# pop_min_variant and pop_max_variant equal the evaluation's pop_approx,
+# pop_approx_min and pop_approx_max, so the CSV keeps each once, in the
+# evaluation's column.  A cut-off is keyed by its fraction, in JSON too.
+FIELD_COLUMNS = {
+    "pop_min_variant": "pop_approx_min", "pop_max_variant": "pop_approx_max",
+    "row_cutoffs": "row_cutoff", "fraction": "cutoff",
+}
+
+
+# dump/load: a value to and from JSON; cell/parse: a value, or a tuple's
+# item, to and from a CSV cell (None: the value fills a section of its own).
+_Codec = namedtuple("_Codec", "dump load cell parse", defaults=(None, None))
+
+
+def _same(value):
+    return value
+
+
+_LEAF_CODECS = {
+    str: _Codec(_same, _same, str, str),
+    int: _Codec(_same, _same, str, int),
+    float: _Codec(_same, _same, repr, float),
+    Fraction: _Codec(str, Fraction, str, Fraction),
+    float | None: _Codec(_same, _same, lambda v: "" if v is None else repr(v),
+                         lambda s: None if s == "" else float(s)),
+    bool | None: _Codec(_same, _same, lambda v: "" if v is None else "true" if v else "false",
+                        lambda s: None if s == "" else s == "true"),
+    frozenset[str]: _Codec(sorted, frozenset, lambda v: ";".join(sorted(v)),
+                           lambda s: frozenset(f for f in s.split(";") if f)),
+}
+
+
+@cache
+def _fields(cls) -> tuple[tuple[str, object, _Codec], ...]:
+    """(name, annotation, codec) of each field of a dataclass or NamedTuple."""
+    hints = get_type_hints(cls)
+    names = [f.name for f in fields(cls)] if is_dataclass(cls) else cls._fields
+    return tuple((name, hints[name], _codec(hints[name])) for name in names)
+
+
+def _compile(params: str, body: str, functions: dict) -> Callable:
+    """A function built once from source, so that it runs as fast as the same
+    code written by hand (dataclasses builds __init__ this way).  Only field
+    names and the names in functions enter the source."""
+    return eval(f"lambda {params}: {body}", functions)
+
+
+def _call(functions: dict, convert: Callable, arg: str) -> str:
+    """Source of convert(arg), with convert named in functions; _same is left out."""
+    if convert is _same:
+        return arg
+    functions[f"f{len(functions)}"] = convert
+    return f"f{len(functions) - 1}({arg})"
+
+
+@cache
+def _codec(hint) -> _Codec:
+    if hint in _LEAF_CODECS:
+        return _LEAF_CODECS[hint]
+    args = get_args(hint)
+    if get_origin(hint) is tuple:  # tuple[X, ...]: a JSON list; in CSV, a table column
+        item = _codec(args[0])
+        return _Codec(list if item.dump is _same else lambda v: list(map(item.dump, v)),
+                      tuple if item.load is _same else lambda v: tuple(map(item.load, v)),
+                      item.cell, item.parse)
+    if get_origin(hint) is dict:  # dict[K, V]: a list of V objects, each with K's one field
+        ((key_field, _, key),) = _fields(args[0])
+        name, value = FIELD_COLUMNS.get(key_field, key_field), _codec(args[1])
+        return _Codec(
+            lambda m: [{name: key.dump(getattr(k, key_field)), **value.dump(v)}
+                       for k, v in m.items()],
+            lambda entries: {args[0](key.load(e[name])): value.load(e) for e in entries})
+    functions = {"cls": hint}  # a dataclass or NamedTuple: a JSON object of its fields
+    dump = ", ".join(f"{f!r}: {_call(functions, c.dump, 'o.' + f)}" for f, _, c in _fields(hint))
+    load = ", ".join(_call(functions, c.load, f"j[{f!r}]") for f, _, c in _fields(hint))
+    return _Codec(_compile("o", f"{{{dump}}}", functions), _compile("j", f"cls({load})", functions))
+
+
+def _section(header: list[str], *owners: tuple[type, Callable]) -> tuple:
+    """One CSV section: its (name, codec) columns, its sources and its row.
+
+    A column holds the field of its name of the first owner (class, rows)
+    with one; rows takes an evaluation to the class's objects in the
+    section's rows, and a tuple field of such an object holds a whole
+    column.  row takes one item of each source(evaluation) to a row's cells.
+    """
+    columns, sources, cells, functions, owner_args = [], [], [], {}, {}
+    for name in header:
+        owner, rows, field, hint, codec = next(
+            (i, rows, field, hint, codec) for i, (cls, rows) in enumerate(owners)
+            for field, hint, codec in _fields(cls) if FIELD_COLUMNS.get(field, field) == name)
+        if get_origin(hint) is tuple:
+            sources.append(lambda e, r=rows, g=attrgetter(field): g(*r(e)))
+            arg = f"s{len(sources) - 1}"
+        else:
+            if owner not in owner_args:
+                sources.append(rows)
+                owner_args[owner] = f"s{len(sources) - 1}"
+            arg = f"{owner_args[owner]}.{field}"
+        columns.append((name, codec))
+        cells.append(_call(functions, codec.cell, arg))
+    params = ", ".join(f"s{i}" for i in range(len(sources)))
+    return columns, sources, _compile(params, f"({', '.join(cells)},)", functions)
+
+
+def _field_of_type(cls, hint) -> Callable:
+    (name,) = [name for name, field_hint, _ in _fields(cls) if field_hint == hint]
+    return attrgetter(name)
+
+
+_BUCKETS, _PROFILE = tuple[Bucket, ...], dict[CutOff, BeniPoint]
+_chart = _field_of_type(ModelEvaluation, GainsChart)
+_buckets = _field_of_type(GainsChart, _BUCKETS)
+_profile = _field_of_type(ModelEvaluation, _PROFILE)
+_META_SECTION = _section(META_CSV_COLUMNS, (ModelEvaluation, lambda e: (e,)),
+                         (GainsChart, lambda e: (_chart(e),)))
+_BUCKET_SECTION = _section(BUCKET_CSV_HEADER, (Bucket, lambda e: _buckets(_chart(e))),
+                           (GainsChart, lambda e: (_chart(e),)))
+_PROFILE_SECTION = _section(PROFILE_CSV_HEADER, (CutOff, _profile),
+                            (BeniPoint, lambda e: _profile(e).values()))
+# A comparison row: the rank, then the evaluation's meta columns up to the flags.
+_COMPARISON_SECTION = _section(META_CSV_COLUMNS[:7], (ModelEvaluation, lambda e: (e,)))
+
+
 def evaluation_to_dict(evaluation: ModelEvaluation) -> dict:
-    chart = evaluation.gains
-    return {
-        "model_id": evaluation.model_id,
-        "pop_exact": evaluation.pop_exact,
-        "pop_approx": evaluation.pop_approx,
-        "pop_approx_min": evaluation.pop_approx_min,
-        "pop_approx_max": evaluation.pop_approx_max,
-        "stretch_target": evaluation.stretch_target,
-        "meets_stretch_target": evaluation.meets_stretch_target,
-        "degeneracy_flags": sorted(evaluation.degeneracy_flags),
-        "beni_profile": [
-            {
-                "cutoff": str(cut.fraction),
-                "beni": point.beni,
-                "beni_max": point.beni_max,
-                "attainment_ratio": point.attainment_ratio,
-            }
-            for cut, point in evaluation.beni_profile.items()
-        ],
-        "gains": {
-            "bucket_count": chart.bucket_count,
-            "sample_size": chart.sample_size,
-            "base_rate": str(chart.base_rate),
-            "spacing": str(chart.spacing),
-            "p_down_chart": chart.p_down_chart,
-            "pop_approx": chart.pop_approx,
-            "pop_min_variant": chart.pop_min_variant,
-            "pop_max_variant": chart.pop_max_variant,
-            "buckets": [
-                {
-                    "bucket_no": b.bucket_no,
-                    "names": b.names,
-                    "responders": b.responders,
-                    "p_up_max": b.p_up_max,
-                    "p_up_min": b.p_up_min,
-                    "p_up_avg": b.p_up_avg,
-                    "beni_marginal": b.beni_marginal,
-                    "pop_marginal": b.pop_marginal,
-                }
-                for b in chart.buckets
-            ],
-            "beni_cumulative": list(chart.beni_cumulative),
-            "beni_max_cumulative": list(chart.beni_max_cumulative),
-            "attainment_ratio": list(chart.attainment_ratio),
-            "pop_cumulative": list(chart.pop_cumulative),
-            "row_cutoffs": [str(f) for f in chart.row_cutoffs],
-        },
-    }
+    return _codec(ModelEvaluation).dump(evaluation)
 
 
 def evaluation_from_dict(data: dict) -> ModelEvaluation:
-    g = data["gains"]
-    chart = GainsChart(
-        buckets=tuple(
-            Bucket(
-                bucket_no=b["bucket_no"],
-                names=b["names"],
-                responders=b["responders"],
-                p_up_max=b["p_up_max"],
-                p_up_min=b["p_up_min"],
-                p_up_avg=b["p_up_avg"],
-                beni_marginal=b["beni_marginal"],
-                pop_marginal=b["pop_marginal"],
-            )
-            for b in g["buckets"]
-        ),
-        bucket_count=g["bucket_count"],
-        sample_size=g["sample_size"],
-        base_rate=Fraction(g["base_rate"]),
-        spacing=Fraction(g["spacing"]),
-        p_down_chart=g["p_down_chart"],
-        pop_approx=g["pop_approx"],
-        pop_min_variant=g["pop_min_variant"],
-        pop_max_variant=g["pop_max_variant"],
-        beni_cumulative=tuple(g["beni_cumulative"]),
-        beni_max_cumulative=tuple(g["beni_max_cumulative"]),
-        attainment_ratio=tuple(g["attainment_ratio"]),
-        pop_cumulative=tuple(g["pop_cumulative"]),
-        row_cutoffs=tuple(Fraction(f) for f in g["row_cutoffs"]),
-    )
-    profile = {
-        CutOff(Fraction(entry["cutoff"])): BeniPoint(
-            entry["beni"], entry["beni_max"], entry["attainment_ratio"]
-        )
-        for entry in data["beni_profile"]
-    }
-    return ModelEvaluation(
-        model_id=data["model_id"],
-        pop_exact=data["pop_exact"],
-        pop_approx=data["pop_approx"],
-        pop_approx_min=data["pop_approx_min"],
-        pop_approx_max=data["pop_approx_max"],
-        gains=chart,
-        beni_profile=profile,
-        meets_stretch_target=data["meets_stretch_target"],
-        stretch_target=data["stretch_target"],
-        degeneracy_flags=frozenset(data["degeneracy_flags"]),
-    )
+    return _codec(ModelEvaluation).load(data)
 
 
 def to_json(data: dict) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-def _float_str(value: float | None) -> str:
-    return "" if value is None else repr(value)
-
-
-def _bool_str(value: bool | None) -> str:
-    return "" if value is None else ("true" if value else "false")
+def _rows(section: tuple, evaluation: ModelEvaluation):
+    _, sources, row = section
+    return map(row, *(source(evaluation) for source in sources))
 
 
 def evaluation_to_csv(
     evaluation: ModelEvaluation, economics: CampaignEconomics | None = None
 ) -> str:
-    chart = evaluation.gains
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    meta = [
-        ("model_id", evaluation.model_id),
-        ("pop_exact", repr(evaluation.pop_exact)),
-        ("pop_approx", repr(evaluation.pop_approx)),
-        ("pop_approx_min", repr(evaluation.pop_approx_min)),
-        ("pop_approx_max", repr(evaluation.pop_approx_max)),
-        ("stretch_target", _float_str(evaluation.stretch_target)),
-        ("meets_stretch_target", _bool_str(evaluation.meets_stretch_target)),
-        ("degeneracy_flags", ";".join(sorted(evaluation.degeneracy_flags))),
-        ("bucket_count", str(chart.bucket_count)),
-        ("sample_size", str(chart.sample_size)),
-        ("base_rate", str(chart.base_rate)),
-        ("spacing", str(chart.spacing)),
-        ("p_down_chart", repr(chart.p_down_chart)),
-    ]
-    writer.writerows(meta)
-    writer.writerow([])
-    writer.writerow(BUCKET_CSV_HEADER)
-    for i, b in enumerate(chart.buckets):
-        writer.writerow([
-            b.bucket_no, b.names, b.responders,
-            repr(b.p_up_max), repr(b.p_up_min), repr(b.p_up_avg),
-            repr(b.pop_marginal), repr(chart.pop_cumulative[i]),
-            repr(b.beni_marginal), repr(chart.beni_cumulative[i]),
-            repr(chart.beni_max_cumulative[i]), repr(chart.attainment_ratio[i]),
-            str(chart.row_cutoffs[i]),
-        ])
-    writer.writerow([])
-    writer.writerow(PROFILE_CSV_HEADER)
-    for cut, point in evaluation.beni_profile.items():
-        writer.writerow([
-            str(cut.fraction), repr(point.beni), repr(point.beni_max),
-            repr(point.attainment_ratio),
-        ])
+    writer.writerows(zip(META_CSV_COLUMNS, *_rows(_META_SECTION, evaluation)))
+    for header, section in ((BUCKET_CSV_HEADER, _BUCKET_SECTION),
+                            (PROFILE_CSV_HEADER, _PROFILE_SECTION)):
+        writer.writerows(([], header))
+        writer.writerows(_rows(section, evaluation))
     if economics is not None:
         writer.writerow([])
         summary = economics_summary(economics)
         loss = summary.pop("spreading_loss")
         if loss is not None:
             summary["spreading_loss"] = loss["loss"]
-        for key, value in summary.items():
-            writer.writerow([key, "" if value is None else value])
+        writer.writerows([key, "" if value is None else value] for key, value in summary.items())
     return out.getvalue()
 
 
+def _read_table(rows: list[list[str]], section: tuple) -> dict[str, list]:
+    columns = section[0]
+    names = [name for name, _ in columns]
+    if rows[0] != names or any(len(row) != len(names) for row in rows):
+        raise ValueError(f"expected a table of the columns {names}")
+    cells = list(zip(*rows[1:])) or [()] * len(columns)
+    return {name: list(map(codec.parse, column))
+            for (name, codec), column in zip(columns, cells)}
+
+
+def _build(cls, columns: dict):
+    """One cls per row of the columns named after its fields; a tuple field
+    takes a whole column, and a field whose annotation is a key takes that."""
+    return map(cls, *(
+        [columns[hint]] if hint in columns
+        else [tuple(columns[FIELD_COLUMNS.get(field, field)])] if get_origin(hint) is tuple
+        else columns[FIELD_COLUMNS.get(field, field)]
+        for field, hint, _ in _fields(cls)))
+
+
 def evaluation_from_csv(text: str) -> ModelEvaluation:
-    sections: list[list[list[str]]] = [[]]
-    for row in csv.reader(io.StringIO(text)):
-        if not row:
-            sections.append([])
-        else:
-            sections[-1].append(row)
-    sections = [s for s in sections if s]
+    # Sections are runs of non-empty rows.
+    sections = [list(rows) for filled, rows in groupby(csv.reader(io.StringIO(text)), bool)
+                if filled]
     if len(sections) < 3:
         raise ValueError("expected meta, bucket, and profile sections")
-    meta = {row[0]: row[1] for row in sections[0]}
+    cells = {row[0]: row[1] for row in sections[0]}
+    meta = {name: [codec.parse(cells[name])] for name, codec in _META_SECTION[0]}
+    table = _read_table(sections[1], _BUCKET_SECTION)
+    points = _read_table(sections[2], _PROFILE_SECTION)
+    buckets = tuple(_build(Bucket, table))
+    (chart,) = _build(GainsChart, {**meta, **table, _BUCKETS: buckets})
+    profile = dict(zip(_build(CutOff, points), _build(BeniPoint, points)))
+    (evaluation,) = _build(ModelEvaluation, {**meta, GainsChart: chart, _PROFILE: profile})
+    return evaluation
 
-    bucket_rows = sections[1]
-    if bucket_rows[0] != BUCKET_CSV_HEADER:
-        raise ValueError("unexpected bucket header")
-    buckets, pop_cum, beni_cum, beni_max_cum, attainment, cutoffs = [], [], [], [], [], []
-    for row in bucket_rows[1:]:
-        buckets.append(Bucket(
-            bucket_no=int(row[0]), names=int(row[1]), responders=int(row[2]),
-            p_up_max=float(row[3]), p_up_min=float(row[4]), p_up_avg=float(row[5]),
-            beni_marginal=float(row[8]), pop_marginal=float(row[6]),
-        ))
-        pop_cum.append(float(row[7]))
-        beni_cum.append(float(row[9]))
-        beni_max_cum.append(float(row[10]))
-        attainment.append(float(row[11]))
-        cutoffs.append(Fraction(row[12]))
 
-    profile_rows = sections[2]
-    if profile_rows[0] != PROFILE_CSV_HEADER:
-        raise ValueError("unexpected profile header")
-    profile = {
-        CutOff(Fraction(row[0])): BeniPoint(float(row[1]), float(row[2]), float(row[3]))
-        for row in profile_rows[1:]
-    }
-
-    chart = GainsChart(
-        buckets=tuple(buckets),
-        bucket_count=int(meta["bucket_count"]),
-        sample_size=int(meta["sample_size"]),
-        base_rate=Fraction(meta["base_rate"]),
-        spacing=Fraction(meta["spacing"]),
-        p_down_chart=float(meta["p_down_chart"]),
-        pop_approx=float(meta["pop_approx"]),
-        pop_min_variant=float(meta["pop_approx_min"]),
-        pop_max_variant=float(meta["pop_approx_max"]),
-        beni_cumulative=tuple(beni_cum),
-        beni_max_cumulative=tuple(beni_max_cum),
-        attainment_ratio=tuple(attainment),
-        pop_cumulative=tuple(pop_cum),
-        row_cutoffs=tuple(cutoffs),
-    )
-    return ModelEvaluation(
-        model_id=meta["model_id"],
-        pop_exact=float(meta["pop_exact"]),
-        pop_approx=float(meta["pop_approx"]),
-        pop_approx_min=float(meta["pop_approx_min"]),
-        pop_approx_max=float(meta["pop_approx_max"]),
-        gains=chart,
-        beni_profile=profile,
-        meets_stretch_target=(
-            None if meta["meets_stretch_target"] == ""
-            else meta["meets_stretch_target"] == "true"
-        ),
-        stretch_target=(
-            None if meta["stretch_target"] == "" else float(meta["stretch_target"])
-        ),
-        degeneracy_flags=frozenset(
-            f for f in meta["degeneracy_flags"].split(";") if f
-        ),
-    )
+def _render(fmt: str, value, text: Callable, to_dict: Callable, to_csv: Callable) -> str:
+    renderers = {"text": text, "json": lambda v: to_json(to_dict(v)), "csv": to_csv}
+    if fmt not in renderers:
+        raise ValueError(f"unknown format {fmt!r}")
+    return renderers[fmt](value)
 
 
 def render_combined_chart(evaluation: ModelEvaluation, fmt: str = "text") -> str:
     """Render one evaluation as the combined BenI/PoP document."""
-    if fmt == "text":
-        return render_evaluation_text(evaluation)
-    if fmt == "json":
-        return to_json(evaluation_to_dict(evaluation))
-    if fmt == "csv":
-        return evaluation_to_csv(evaluation)
-    raise ValueError(f"unknown format {fmt!r}")
-
-
-def comparison_to_dict(report: ComparisonReport) -> dict:
-    return {
-        "ranking": list(report.ranking),
-        "below_target": list(report.below_target),
-        "evaluations": [evaluation_to_dict(e) for e in report.evaluations],
-    }
+    return _render(fmt, evaluation, render_evaluation_text, evaluation_to_dict,
+                   evaluation_to_csv)
 
 
 def comparison_to_csv(report: ComparisonReport) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow([
-        "rank", "model_id", "pop_exact", "pop_approx", "pop_approx_min",
-        "pop_approx_max", "stretch_target", "meets_stretch_target",
-    ])
+    writer.writerow(["rank", *(name for name, _ in _COMPARISON_SECTION[0])])
     for rank, evaluation in enumerate(report.evaluations, start=1):
-        writer.writerow([
-            rank, evaluation.model_id, repr(evaluation.pop_exact),
-            repr(evaluation.pop_approx), repr(evaluation.pop_approx_min),
-            repr(evaluation.pop_approx_max),
-            _float_str(evaluation.stretch_target),
-            _bool_str(evaluation.meets_stretch_target),
-        ])
+        writer.writerows([rank, *cells] for cells in _rows(_COMPARISON_SECTION, evaluation))
     return out.getvalue()
 
 
@@ -430,13 +392,8 @@ def render_comparison_text(report: ComparisonReport) -> str:
 
 
 def render_comparison(report: ComparisonReport, fmt: str = "text") -> str:
-    if fmt == "text":
-        return render_comparison_text(report)
-    if fmt == "json":
-        return to_json(comparison_to_dict(report))
-    if fmt == "csv":
-        return comparison_to_csv(report)
-    raise ValueError(f"unknown format {fmt!r}")
+    return _render(fmt, report, render_comparison_text, _codec(ComparisonReport).dump,
+                   comparison_to_csv)
 
 
 def economics_summary(econ: CampaignEconomics) -> dict:

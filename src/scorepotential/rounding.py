@@ -30,9 +30,15 @@ def to_fraction(value) -> Fraction:
 
 
 def round_half_up(value) -> int:
-    """Round to the nearest integer, halves away from zero-ward ties (1.5 -> 2)."""
-    if isinstance(value, Fraction):
-        return math.floor(value + Fraction(1, 2))
-    if isinstance(value, int):
-        return value
-    return math.floor(value + 0.5)
+    """Round to the nearest integer, halves toward +infinity (1.5 -> 2, -1.5 -> -1).
+
+    Floats round like the exact Fraction branch: x - floor(x) is exact, where
+    x + 0.5 would round 0.49999999999999994 up to 1.0.
+    """
+    if not isinstance(value, float):  # floats first: Fraction is an ABC, slow to test
+        if isinstance(value, Fraction):
+            return math.floor(value + Fraction(1, 2))
+        if isinstance(value, int):
+            return value
+    floor = math.floor(value)
+    return floor + (value - floor >= 0.5)

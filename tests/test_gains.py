@@ -11,12 +11,10 @@ from scorepotential import (
     IndivisibleBuckets,
     NoResponders,
     ScoredRecord,
-    attainment_ratio_column,
     build_gains_chart,
     p_up_avg_bucket,
     p_up_max_bucket,
     p_up_min_bucket,
-    pop_approx,
     pop_denominator_chart,
     pop_denominator_exact,
     pop_exact,
@@ -103,7 +101,7 @@ class TestRate4DecileChart:
 
     def test_attainment_column(self, rate4_sample):
         chart = build_gains_chart(rate4_sample, 10)
-        rounded = [round_half_up(v) for v in attainment_ratio_column(chart)]
+        rounded = [round_half_up(v) for v in chart.attainment_ratio]
         assert rounded == [0, 0, 75, 100, 100, 100, 100, 100, 100, 100]
 
 
@@ -128,7 +126,7 @@ class TestRate8DecileChart:
         # 208.33/333.33 is 62.5 -> 63; dividing the printed integers would
         # give 62, so the column must be computed before rounding.
         chart = build_gains_chart(rate8_sample, 10)
-        rounded = [round_half_up(v) for v in attainment_ratio_column(chart)]
+        rounded = [round_half_up(v) for v in chart.attainment_ratio]
         assert rounded == [38, 50, 63, 75, 75, 75, 88, 100, 100, 100]
 
 
@@ -214,14 +212,6 @@ class TestChartInvariants:
             assert rescaled <= sum(b.p_up_max for b in chart.buckets)
             rescaled_pop = 100 * rescaled / chart.p_down_chart
             assert chart.pop_min_variant <= rescaled_pop <= chart.pop_max_variant
-
-    def test_pop_approx_accessor_variants(self, rate4_sample):
-        chart = build_gains_chart(rate4_sample, 10)
-        assert pop_approx(chart) == chart.pop_approx
-        assert pop_approx(chart, "min") == chart.pop_min_variant
-        assert pop_approx(chart, "max") == chart.pop_max_variant
-        with pytest.raises(ValueError):
-            pop_approx(chart, "median")
 
 
 class TestShiftExercise:

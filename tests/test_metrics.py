@@ -25,6 +25,7 @@ from scorepotential import (
     rank_sample,
     selection_count,
 )
+from scorepotential.rounding import round_half_up
 
 
 class TestBeni:
@@ -99,6 +100,14 @@ class TestBeniAtCutoff:
         assert selection_count(10, CutOff(Fraction(15, 100))) == 2
         assert selection_count(10, CutOff(Fraction(14, 100))) == 1
         assert selection_count(100, CutOff(0.40)) == 40
+
+
+def test_round_half_up_on_floats_matches_the_exact_rule():
+    below_half = 0.49999999999999994  # the largest float below 0.5
+    assert round_half_up(below_half) == 0 == round_half_up(Fraction(below_half))
+    for value in (0.5, 1.5, 2.5, -0.5, -1.5, -2.5, 2.4999999999999996, -0.49999999999999994,
+                  4503599627370495.5, 1e300, -7.25):
+        assert round_half_up(value) == round_half_up(Fraction(value)), value
 
 
 class TestPopNumerator:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -10,16 +11,21 @@ from hypothesis import assume, given, settings, strategies as st
 
 from scorepotential import (
     CutOff,
+    EvaluationContext,
     ScoredRecord,
     TiePolicy,
     auc_crosscheck,
     beni_at_cutoff,
     build_gains_chart,
+    evaluate_model,
+    evaluation_from_csv,
+    evaluation_from_dict,
     perfect_rank_sum,
     pop_denominator_exact,
     pop_exact,
     pop_numerator_exact,
     rank_sample,
+    render_combined_chart,
 )
 from tests.conftest import pairwise_auc, reference_rank
 
@@ -272,3 +278,29 @@ def test_metrics_equal_slice_sum_references(records, policy):
 def test_auc_equals_the_pairwise_count(records):
     assume(0 < sum(r.response for r in records) < len(records))
     assert auc_crosscheck(rank_sample(records)) == pairwise_auc(records)
+
+
+@given(records=pooled_score_records(min_size=1, need_responder=True),
+       policy=st.sampled_from(list(TiePolicy)),
+       target=st.none() | st.floats(0, 100, exclude_min=True),
+       model_id=st.text(st.characters(blacklist_categories=("Cs", "Cc")), max_size=8),
+       data=st.data())
+def test_machine_formats_round_trip_to_the_same_bytes(records, policy, target, model_id,
+                                                      data):
+    size = len(records)
+    bucket_count = data.draw(st.sampled_from([b for b in range(1, size + 1) if size % b == 0]))
+    cuts = data.draw(st.lists(st.integers(1, size), min_size=1, max_size=4))
+    ctx = EvaluationContext(sample=rank_sample(records, policy), bucket_count=bucket_count,
+                            cutoffs_of_interest=tuple(CutOff(Fraction(n, size)) for n in cuts),
+                            stretch_target=target)
+    evaluation = evaluate_model(ctx, model_id)
+
+    as_json = render_combined_chart(evaluation, "json")
+    from_json = evaluation_from_dict(json.loads(as_json))
+    assert from_json == evaluation
+    assert render_combined_chart(from_json, "json") == as_json
+
+    as_csv = render_combined_chart(evaluation, "csv")
+    from_csv = evaluation_from_csv(as_csv)
+    assert from_csv == evaluation
+    assert render_combined_chart(from_csv, "csv") == as_csv

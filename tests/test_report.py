@@ -96,6 +96,14 @@ def test_csv_round_trip_is_exact_and_idempotent(rate4_evaluation):
     assert render_combined_chart(parsed, "csv") == rendered
 
 
+def test_csv_table_rows_must_fill_every_column(rate4_evaluation):
+    lines = render_combined_chart(rate4_evaluation, "csv").splitlines(keepends=True)
+    row = next(i for i, line in enumerate(lines) if line.startswith("9,"))
+    lines[row] = lines[row].rsplit(",", 1)[0] + "\n"
+    with pytest.raises(ValueError, match="columns"):
+        evaluation_from_csv("".join(lines))
+
+
 def test_machine_formats_carry_full_precision(rate4_evaluation):
     data = json.loads(render_combined_chart(rate4_evaluation, "json"))
     assert data["pop_exact"] == rate4_evaluation.pop_exact
