@@ -212,6 +212,37 @@ def test_usage_errors_exit_2(rate4_csv):
     assert excinfo.value.code == 2
 
 
+GEN = "gen --size 10 --rate 0.1 --quality 0.5 --seed 1 -o {tmp}/missing/out.csv"
+ECON = "econ --total-cost 100 --addresses 10 --responders 1"
+EVALUATE = "evaluate {tmp}/missing.csv"
+
+
+# The sample files and the output directory do not exist, so a range check
+# that ran only after a file was read or written would exit 3, not 2.
+@pytest.mark.parametrize("command", [
+    GEN + " --size 0",
+    GEN + " --rate 0",
+    GEN + " --rate 1/0",
+    GEN + " --rate abc",
+    GEN + " --quality 2",
+    GEN + " --quality nan",
+    ECON + " --total-cost -1",
+    ECON + " --addresses 0",
+    ECON + " --responders 6 --addresses 5",
+    EVALUATE + " --target 0",
+    EVALUATE + " --cutoffs ,",
+    EVALUATE + " --buckets 0",
+    EVALUATE + " --total-cost -1 --addresses 10 --responders 1",
+    "compare {tmp}/a/m.csv {tmp}/b/m.csv",  # model ids come from the stems
+])
+def test_range_and_usage_errors_exit_2(command, tmp_path):
+    # A repeated flag takes its last value, so the cases above override GEN and ECON.
+    argv = command.format(tmp=tmp_path).split()
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv, out=io.StringIO())
+    assert excinfo.value.code == 2
+
+
 def test_console_entrypoint_is_installed():
     import shutil
 

@@ -49,10 +49,13 @@ CASES = {
     "evaluate_all_responders.csv": ["evaluate", "all_responders", "--format", "csv"],
     "evaluate_rate4_economics.json": ["evaluate", "rate4", "--format", "json", *RATE4_ECONOMICS],
     "evaluate_rate4_economics.csv": ["evaluate", "rate4", "--format", "csv", *RATE4_ECONOMICS],
+    "evaluate_rate4_economics.txt": ["evaluate", "rate4", *RATE4_ECONOMICS],
     "evaluate_rate8_no_responder_economics.json":
         ["evaluate", "rate8", "--format", "json", *NO_RESPONDER_ECONOMICS],
     "evaluate_rate8_no_responder_economics.csv":
         ["evaluate", "rate8", "--format", "csv", *NO_RESPONDER_ECONOMICS],
+    "evaluate_rate8_no_responder_economics.txt":
+        ["evaluate", "rate8", *NO_RESPONDER_ECONOMICS],
     "compare_target80.json":
         ["compare", "rate4", "rate8", "all_responders", "--target", "80", "--format", "json"],
     "compare_target80.csv":
