@@ -26,14 +26,11 @@ from .errors import ToolkitError
 from .figure import render_pop_vs_beni_figure
 from .report import (
     economics_summary,
-    evaluation_to_csv,
-    evaluation_to_dict,
     render_combined_chart,
     render_comparison,
     render_economics_text,
     to_json,
 )
-from .rounding import to_fraction
 from .sample import CutOff, TiePolicy, rank_sample
 # The parse stage reads columns, never per-row records; it keeps the name
 # under which bench/tracing.py times the CLI's parse layer.
@@ -42,6 +39,8 @@ from .sample_csv import read_sample_columns as parse_sample_csv, records_to_csv_
 IO_ERROR_EXIT = 3
 
 
+# --buckets and --target are checked here, not by EvaluationContext: that needs
+# a ranked sample, so its checks would run only after the first file was read.
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -75,31 +74,13 @@ def _target(text: str) -> float:
     return value
 
 
-def _rate(text: str) -> Fraction:
+def _rational(text: str) -> Fraction:
+    """An exact decimal or p/q literal.  Its range is checked where it is used
+    (generate_sample, CampaignEconomics), before any file is read or written."""
     try:
-        value = to_fraction(text)
-    except (ValueError, ZeroDivisionError) as err:
-        raise argparse.ArgumentTypeError(str(err)) from None
-    if not 0 < value <= 1:
-        raise argparse.ArgumentTypeError("rate must lie in (0, 1]")
-    return value
-
-
-def _quality(text: str) -> float:
-    value = float(text)
-    if not 0 <= value <= 1:
-        raise argparse.ArgumentTypeError("quality must lie in [0, 1]")
-    return value
-
-
-def _money(text: str) -> Fraction:
-    try:
-        value = to_fraction(text)
-    except (ValueError, ZeroDivisionError) as err:
-        raise argparse.ArgumentTypeError(str(err)) from None
-    if value < 0:
-        raise argparse.ArgumentTypeError("money amounts must be non-negative")
-    return value
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
 
 
 def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
@@ -118,10 +99,10 @@ def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_econ_flags(parser: argparse.ArgumentParser, required: bool) -> None:
-    parser.add_argument("--total-cost", type=_money, default=None, required=required,
+    parser.add_argument("--total-cost", type=_rational, default=None, required=required,
                         help="total campaign cost")
-    parser.add_argument("--addresses", type=_positive_int, default=None,
-                        required=required, help="number of promoted addresses")
+    parser.add_argument("--addresses", type=int, default=None, required=required,
+                        help="number of promoted addresses")
     parser.add_argument("--responders", type=int, default=None, required=required,
                         help="number of responders")
 
@@ -146,9 +127,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the potential-vs-benefit SVG here")
 
     p_gen = sub.add_parser("gen", help="generate a synthetic sample CSV")
-    p_gen.add_argument("--size", type=_positive_int, required=True)
-    p_gen.add_argument("--rate", type=_rate, required=True)
-    p_gen.add_argument("--quality", type=_quality, required=True)
+    p_gen.add_argument("--size", type=int, required=True)
+    p_gen.add_argument("--rate", type=_rational, required=True)
+    p_gen.add_argument("--quality", type=float, required=True)
     p_gen.add_argument("--seed", type=int, required=True)
     p_gen.add_argument("-o", "--output", type=Path, default=None,
                        help="output path (default: stdout)")
@@ -162,8 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _economics_from_args(args, parser: argparse.ArgumentParser) -> CampaignEconomics | None:
-    given = [args.total_cost is not None, args.addresses is not None,
-             args.responders is not None]
+    given = [v is not None for v in (args.total_cost, args.addresses, args.responders)]
     if not any(given):
         return None
     if not all(given):
@@ -197,21 +177,7 @@ def _reference_attainment(evaluation: ModelEvaluation) -> float:
 
 def _cmd_evaluate(args, parser: argparse.ArgumentParser, out) -> int:
     economics = _economics_from_args(args, parser)
-    evaluation = _evaluate_path(args, args.sample)
-    if economics is not None:
-        if args.fmt == "json":
-            out.write(to_json({
-                "evaluation": evaluation_to_dict(evaluation),
-                "economics": economics_summary(economics),
-            }))
-        elif args.fmt == "csv":
-            out.write(evaluation_to_csv(evaluation, economics=economics))
-        else:
-            out.write(render_combined_chart(evaluation, "text"))
-            out.write("\n")
-            out.write(render_economics_text(economics))
-        return 0
-    out.write(render_combined_chart(evaluation, args.fmt))
+    out.write(render_combined_chart(_evaluate_path(args, args.sample), args.fmt, economics))
     return 0
 
 
@@ -231,8 +197,11 @@ def _cmd_compare(args, parser: argparse.ArgumentParser, out) -> int:
     return 0
 
 
-def _cmd_gen(args, out) -> int:
-    records = generate_sample(args.size, args.rate, args.quality, args.seed)
+def _cmd_gen(args, parser: argparse.ArgumentParser, out) -> int:
+    try:
+        records = generate_sample(args.size, args.rate, args.quality, args.seed)
+    except ValueError as err:
+        parser.error(str(err))
     text = records_to_csv_text(records)
     if args.output is None:
         out.write(text)
@@ -260,7 +229,7 @@ def main(argv=None, out=None) -> int:
         if args.command == "compare":
             return _cmd_compare(args, parser, out)
         if args.command == "gen":
-            return _cmd_gen(args, out)
+            return _cmd_gen(args, parser, out)
         if args.command == "econ":
             return _cmd_econ(args, parser, out)
     except ToolkitError as err:

@@ -27,17 +27,12 @@ class BeniPoint(NamedTuple):
 
 @dataclass(frozen=True)
 class EvaluationContext:
-    """Everything one evaluation needs besides the model id.
-
-    total_potential_t is the promotable universe size, carried for rollout
-    reporting only (pass names at cut c = c * T); nothing is simulated.
-    """
+    """Everything one evaluation needs besides the model id."""
 
     sample: RankedSample
     bucket_count: int = 10
     cutoffs_of_interest: tuple[CutOff, ...] = DECILE_CUTOFFS
     stretch_target: float | None = None
-    total_potential_t: int | None = None
 
     def __post_init__(self):
         if self.bucket_count < 1:
@@ -48,8 +43,6 @@ class EvaluationContext:
             raise ValueError("at least one cut-off of interest is required")
         if self.stretch_target is not None and not 0 < self.stretch_target <= 100:
             raise ValueError("stretch target must lie in (0, 100]")
-        if self.total_potential_t is not None and self.total_potential_t < 1:
-            raise ValueError("total potential must be positive")
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,9 @@ def _points_attr(points: Sequence[tuple[float, float]]) -> str:
 
 def render_pop_vs_beni_figure(series: Sequence[tuple[str, float, float]]) -> str:
     """Render (label, pop, beni_attainment) scenarios as an SVG document."""
+    # Imported here: html loads html.entities, a few ms and MB that only a figure needs.
+    from html import escape
+
     if len(series) < 2:
         raise TooFewPoints(len(series))
     for label, pop, beni in series:
@@ -99,7 +102,7 @@ def render_pop_vs_beni_figure(series: Sequence[tuple[str, float, float]]) -> str
         parts.append(
             f'<text x="{_fmt(x)}" y="{_fmt(MARGIN_TOP + PLOT_HEIGHT + 20)}" '
             'text-anchor="middle" font-family="sans-serif" font-size="12">'
-            f"{_escape(label)}</text>"
+            f"{escape(label, quote=False)}</text>"
         )
 
     axis_y = MARGIN_TOP + PLOT_HEIGHT
@@ -120,9 +123,3 @@ def render_pop_vs_beni_figure(series: Sequence[tuple[str, float, float]]) -> str
     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def _escape(text: str) -> str:
-    return (
-        text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-    )

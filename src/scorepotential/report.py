@@ -22,6 +22,7 @@ from typing import Callable, get_args, get_origin, get_type_hints
 
 from .economics import (
     CampaignEconomics,
+    SpreadingLoss,
     cost_per_responder,
     cost_per_thousand,
     spreading_loss,
@@ -262,17 +263,23 @@ def _field_of_type(cls, hint) -> Callable:
 
 
 _BUCKETS, _PROFILE = tuple[Bucket, ...], dict[CutOff, BeniPoint]
-_chart = _field_of_type(ModelEvaluation, GainsChart)
-_buckets = _field_of_type(GainsChart, _BUCKETS)
-_profile = _field_of_type(ModelEvaluation, _PROFILE)
-_META_SECTION = _section(META_CSV_COLUMNS, (ModelEvaluation, lambda e: (e,)),
-                         (GainsChart, lambda e: (_chart(e),)))
-_BUCKET_SECTION = _section(BUCKET_CSV_HEADER, (Bucket, lambda e: _buckets(_chart(e))),
-                           (GainsChart, lambda e: (_chart(e),)))
-_PROFILE_SECTION = _section(PROFILE_CSV_HEADER, (CutOff, _profile),
-                            (BeniPoint, lambda e: _profile(e).values()))
-# A comparison row: the rank, then the evaluation's meta columns up to the flags.
-_COMPARISON_SECTION = _section(META_CSV_COLUMNS[:7], (ModelEvaluation, lambda e: (e,)))
+
+
+@cache
+def _sections() -> tuple[tuple, tuple, tuple, tuple]:
+    """The meta, bucket, profile and comparison sections, built on first use."""
+    chart = _field_of_type(ModelEvaluation, GainsChart)
+    buckets = _field_of_type(GainsChart, _BUCKETS)
+    profile = _field_of_type(ModelEvaluation, _PROFILE)
+    return (
+        _section(META_CSV_COLUMNS, (ModelEvaluation, lambda e: (e,)),
+                 (GainsChart, lambda e: (chart(e),))),
+        _section(BUCKET_CSV_HEADER, (Bucket, lambda e: buckets(chart(e))),
+                 (GainsChart, lambda e: (chart(e),))),
+        _section(PROFILE_CSV_HEADER, (CutOff, profile), (BeniPoint, lambda e: profile(e).values())),
+        # A comparison row: the rank, then the evaluation's meta columns up to the flags.
+        _section(META_CSV_COLUMNS[:7], (ModelEvaluation, lambda e: (e,))),
+    )
 
 
 def evaluation_to_dict(evaluation: ModelEvaluation) -> dict:
@@ -280,7 +287,10 @@ def evaluation_to_dict(evaluation: ModelEvaluation) -> dict:
 
 
 def evaluation_from_dict(data: dict) -> ModelEvaluation:
-    return _codec(ModelEvaluation).load(data)
+    try:
+        return _codec(ModelEvaluation).load(data)
+    except KeyError as err:
+        raise ValueError(f"evaluation document lacks the key {err}") from None
 
 
 def to_json(data: dict) -> str:
@@ -295,11 +305,11 @@ def _rows(section: tuple, evaluation: ModelEvaluation):
 def evaluation_to_csv(
     evaluation: ModelEvaluation, economics: CampaignEconomics | None = None
 ) -> str:
+    meta, buckets, profile, _ = _sections()
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerows(zip(META_CSV_COLUMNS, *_rows(_META_SECTION, evaluation)))
-    for header, section in ((BUCKET_CSV_HEADER, _BUCKET_SECTION),
-                            (PROFILE_CSV_HEADER, _PROFILE_SECTION)):
+    writer.writerows(zip(META_CSV_COLUMNS, *_rows(meta, evaluation)))
+    for header, section in ((BUCKET_CSV_HEADER, buckets), (PROFILE_CSV_HEADER, profile)):
         writer.writerows(([], header))
         writer.writerows(_rows(section, evaluation))
     if economics is not None:
@@ -338,10 +348,14 @@ def evaluation_from_csv(text: str) -> ModelEvaluation:
                 if filled]
     if len(sections) < 3:
         raise ValueError("expected meta, bucket, and profile sections")
-    cells = {row[0]: row[1] for row in sections[0]}
-    meta = {name: [codec.parse(cells[name])] for name, codec in _META_SECTION[0]}
-    table = _read_table(sections[1], _BUCKET_SECTION)
-    points = _read_table(sections[2], _PROFILE_SECTION)
+    meta_section, bucket_section, profile_section, _ = _sections()
+    cells = {row[0]: row[1] for row in sections[0] if len(row) > 1}
+    missing = [name for name, _ in meta_section[0] if name not in cells]
+    if missing:
+        raise ValueError(f"expected a 'name,value' meta row for each of {missing}")
+    meta = {name: [codec.parse(cells[name])] for name, codec in meta_section[0]}
+    table = _read_table(sections[1], bucket_section)
+    points = _read_table(sections[2], profile_section)
     buckets = tuple(_build(Bucket, table))
     (chart,) = _build(GainsChart, {**meta, **table, _BUCKETS: buckets})
     profile = dict(zip(_build(CutOff, points), _build(BeniPoint, points)))
@@ -356,18 +370,28 @@ def _render(fmt: str, value, text: Callable, to_dict: Callable, to_csv: Callable
     return renderers[fmt](value)
 
 
-def render_combined_chart(evaluation: ModelEvaluation, fmt: str = "text") -> str:
-    """Render one evaluation as the combined BenI/PoP document."""
-    return _render(fmt, evaluation, render_evaluation_text, evaluation_to_dict,
-                   evaluation_to_csv)
+def render_combined_chart(
+    evaluation: ModelEvaluation, fmt: str = "text", economics: CampaignEconomics | None = None
+) -> str:
+    """Render one evaluation as the combined BenI/PoP document, followed by
+    the campaign economics when they are given."""
+    if economics is None:
+        return _render(fmt, evaluation, render_evaluation_text, evaluation_to_dict,
+                       evaluation_to_csv)
+    return _render(fmt, evaluation,
+                   lambda e: f"{render_evaluation_text(e)}\n{render_economics_text(economics)}",
+                   lambda e: {"evaluation": evaluation_to_dict(e),
+                              "economics": economics_summary(economics)},
+                   lambda e: evaluation_to_csv(e, economics))
 
 
 def comparison_to_csv(report: ComparisonReport) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["rank", *(name for name, _ in _COMPARISON_SECTION[0])])
+    section = _sections()[3]
+    writer.writerow(["rank", *(name for name, _ in section[0])])
     for rank, evaluation in enumerate(report.evaluations, start=1):
-        writer.writerows([rank, *cells] for cells in _rows(_COMPARISON_SECTION, evaluation))
+        writer.writerows([rank, *cells] for cells in _rows(section, evaluation))
     return out.getvalue()
 
 
@@ -396,43 +420,43 @@ def render_comparison(report: ComparisonReport, fmt: str = "text") -> str:
                    comparison_to_csv)
 
 
-def economics_summary(econ: CampaignEconomics) -> dict:
-    """All cost figures for one campaign; exact rationals as strings."""
+def _economics_figures(
+    econ: CampaignEconomics,
+) -> tuple[Fraction, Fraction | None, SpreadingLoss | None]:
+    """Cost per thousand, then cost per responder and the spreading loss, both
+    None without responders."""
     per_thousand = cost_per_thousand(econ)
     try:
-        per_responder: Fraction | None = cost_per_responder(econ)
+        per_responder = cost_per_responder(econ)
     except NoResponders:
-        per_responder = None
-    summary = {
+        return per_thousand, None, None
+    return per_thousand, per_responder, spreading_loss(per_thousand, per_responder)
+
+
+def economics_summary(econ: CampaignEconomics) -> dict:
+    """All cost figures for one campaign; exact rationals as strings."""
+    per_thousand, per_responder, loss = _economics_figures(econ)
+    return {
         "total_cost": str(econ.total_cost),
         "addresses": econ.addresses,
         "responders": econ.responders,
         "cost_per_thousand": str(per_thousand),
         "cost_per_responder": None if per_responder is None else str(per_responder),
-        "spreading_loss": None,
+        "spreading_loss": None if loss is None else _codec(SpreadingLoss).dump(loss),
     }
-    if per_responder is not None:
-        loss = spreading_loss(per_thousand, per_responder)
-        summary["spreading_loss"] = {
-            "cost_per_action": str(loss.cost_per_action),
-            "cost_per_responder": str(loss.cost_per_responder),
-            "loss": str(loss.loss),
-        }
-    return summary
 
 
 def render_economics_text(econ: CampaignEconomics) -> str:
+    per_thousand, per_responder, loss = _economics_figures(econ)
     lines = [
         "Campaign economics",
         f"Total cost: {money_str(econ.total_cost)}   Addresses: {econ.addresses}   "
         f"Responders: {econ.responders}",
-        f"Cost per thousand: {money_str(cost_per_thousand(econ))}",
+        f"Cost per thousand: {money_str(per_thousand)}",
     ]
-    if econ.responders == 0:
+    if per_responder is None:
         lines.append("Cost per responder: undefined (no responders)")
     else:
-        per_responder = cost_per_responder(econ)
-        loss = spreading_loss(cost_per_thousand(econ), per_responder)
         lines.append(f"Cost per responder: {money_str(per_responder)}")
         lines.append(
             "Spreading loss (per action - per responder): "

@@ -243,6 +243,13 @@ def test_range_and_usage_errors_exit_2(command, tmp_path):
     assert excinfo.value.code == 2
 
 
+def test_any_value_generate_sample_rejects_is_a_usage_error(tmp_path):
+    # numpy rejects a negative seed; that too exits 2 rather than with a traceback.
+    with pytest.raises(SystemExit) as excinfo:
+        main(GEN.format(tmp=tmp_path).split() + ["--seed", "-1"], out=io.StringIO())
+    assert excinfo.value.code == 2
+
+
 def test_console_entrypoint_is_installed():
     import shutil
 

@@ -108,8 +108,6 @@ class TestEvaluateModel:
             EvaluationContext(sample=rate4_sample, stretch_target=0)
         with pytest.raises(ValueError):
             EvaluationContext(sample=rate4_sample, bucket_count=0)
-        with pytest.raises(ValueError):
-            EvaluationContext(sample=rate4_sample, total_potential_t=0)
 
 
 class TestCompareModels:

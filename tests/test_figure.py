@@ -91,3 +91,6 @@ def test_output_is_deterministic():
 def test_labels_are_escaped():
     svg = render_pop_vs_beni_figure([("a<b&c", 50.0, 40.0), ("d", 60.0, 40.0)])
     assert "a&lt;b&amp;c" in svg
+    # Text content needs no quote escaping; html.escape(quote=False) leaves " alone.
+    svg = render_pop_vs_beni_figure([('x>y"z', 50.0, 40.0), ("d", 60.0, 40.0)])
+    assert 'x&gt;y"z</text>' in svg

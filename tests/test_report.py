@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import scorepotential
 from scorepotential import (
     CampaignEconomics,
     EvaluationContext,
@@ -102,6 +107,35 @@ def test_csv_table_rows_must_fill_every_column(rate4_evaluation):
     lines[row] = lines[row].rsplit(",", 1)[0] + "\n"
     with pytest.raises(ValueError, match="columns"):
         evaluation_from_csv("".join(lines))
+
+
+@pytest.mark.parametrize("path", [("gains", "p_down_chart"), ("beni_profile", 0, "beni_max")])
+def test_json_reader_names_a_missing_key(rate4_evaluation, path):
+    data = evaluation_to_dict(rate4_evaluation)
+    *parents, key = path
+    owner = data
+    for step in parents:
+        owner = owner[step]
+    del owner[key]
+    with pytest.raises(ValueError, match=repr(key)):
+        evaluation_from_dict(data)
+
+
+@pytest.mark.parametrize("replacement", ["", "p_down_chart\n"])
+def test_csv_reader_names_a_missing_meta_value(rate4_evaluation, replacement):
+    lines = render_combined_chart(rate4_evaluation, "csv").splitlines(keepends=True)
+    row = next(i for i, line in enumerate(lines) if line.startswith("p_down_chart,"))
+    lines[row] = replacement  # the row deleted, or left with its name only
+    with pytest.raises(ValueError, match="p_down_chart"):
+        evaluation_from_csv("".join(lines))
+
+
+def test_importing_builds_no_report_schema():
+    # The converters and CSV sections are compiled on first use, not at import.
+    code = ("import scorepotential.report as r; "
+            "assert r._codec.cache_info().currsize == r._sections.cache_info().currsize == 0")
+    env = {**os.environ, "PYTHONPATH": str(Path(scorepotential.__file__).resolve().parents[1])}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)
 
 
 def test_machine_formats_carry_full_precision(rate4_evaluation):
