@@ -10,6 +10,7 @@ root, and only for an intended change of output.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import io
 import json
 import tempfile
@@ -61,7 +62,18 @@ CASES = {
     "compare_target80.csv":
         ["compare", "rate4", "rate8", "all_responders", "--target", "80", "--format", "csv"],
     "compare_target80.txt": ["compare", "rate4", "rate8", "all_responders", "--target", "80"],
+    "gen_37_rate4.csv":
+        ["gen", "--size", "37", "--rate", "0.04", "--quality", "0.6", "--seed", "7"],
+    "gen_1000_rate4.csv":
+        ["gen", "--size", "1000", "--rate", "0.04", "--quality", "0.6", "--seed", "20100707"],
+    # Every name responds; ids keep their minimum width of six digits.
+    "gen_5_all_responders.csv":
+        ["gen", "--size", "5", "--rate", "1", "--quality", "1", "--seed", "3"],
 }
+
+# sha256 of the `gen` output at the benchmark's size, rate and quality.
+GEN_200K_ARGS = ["gen", "--size", "200000", "--rate", "0.04", "--quality", "0.6", "--seed", "1"]
+GEN_200K_SHA256 = "86a32007d1cb051cca41f253f17ead176c62d7e5833184772ec74cb83c4d8588"
 
 
 def samples() -> dict[str, list[ScoredRecord]]:
@@ -90,6 +102,12 @@ def render_case(name: str, folder: Path) -> str:
 def test_output_matches_the_golden_bytes(name, tmp_path):
     expected = (GOLDEN_DIR / name).read_bytes()
     assert render_case(name, tmp_path).encode("utf-8") == expected
+
+
+def test_gen_bytes_at_the_benchmark_size_are_pinned():
+    out = io.StringIO()
+    assert main(GEN_200K_ARGS, out=out) == 0
+    assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == GEN_200K_SHA256
 
 
 def test_every_golden_file_has_a_case():
