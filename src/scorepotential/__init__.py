@@ -20,6 +20,7 @@ from .engine import (
     ModelEvaluation,
     compare_models,
     evaluate_model,
+    generate_columns,
     generate_sample,
 )
 from .errors import (
@@ -96,7 +97,7 @@ __all__ = [
     "beni", "beni_at_cutoff", "beni_max", "build_gains_chart", "compare_models",
     "cost_per_responder", "cost_per_thousand", "economics_summary",
     "evaluate_model", "evaluation_from_csv", "evaluation_from_dict",
-    "evaluation_to_csv", "evaluation_to_dict", "generate_sample",
+    "evaluation_to_csv", "evaluation_to_dict", "generate_columns", "generate_sample",
     "p_up_avg_bucket", "p_up_max_bucket", "p_up_min_bucket",
     "parse_sample_csv", "perfect_rank_sum",
     "pop_denominator_chart", "pop_denominator_exact", "pop_exact",

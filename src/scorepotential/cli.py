@@ -20,8 +20,10 @@ from .engine import (
     ModelEvaluation,
     compare_models,
     evaluate_model,
-    generate_sample,
 )
+# gen draws columns, never per-row records; it keeps the name under which
+# bench/tracing.py times the CLI's generate layer.
+from .engine import generate_columns as generate_sample
 from .errors import ToolkitError
 from .figure import render_pop_vs_beni_figure
 from .report import (
@@ -60,7 +62,10 @@ def _cutoff_list(text: str) -> tuple[CutOff, ...]:
             else:
                 fraction = Fraction(part)
             cuts.append(CutOff(fraction))
-        except (ValueError, ZeroDivisionError) as err:
+        except ZeroDivisionError:
+            raise argparse.ArgumentTypeError(
+                f"bad cut-off {part!r}: not a rational number") from None
+        except ValueError as err:
             raise argparse.ArgumentTypeError(f"bad cut-off {part!r}: {err}") from None
     if not cuts:
         raise argparse.ArgumentTypeError("cut-off list is empty")
@@ -76,7 +81,7 @@ def _target(text: str) -> float:
 
 def _rational(text: str) -> Fraction:
     """An exact decimal or p/q literal.  Its range is checked where it is used
-    (generate_sample, CampaignEconomics), before any file is read or written."""
+    (generate_columns, CampaignEconomics), before any file is read or written."""
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -139,6 +144,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_econ.add_argument("--format", dest="fmt", choices=["text", "json"],
                         default="text")
 
+    # Errors found after parsing print the usage line of their subcommand.
+    for command_parser in sub.choices.values():
+        command_parser.set_defaults(command_parser=command_parser)
     return parser
 
 
@@ -199,10 +207,10 @@ def _cmd_compare(args, parser: argparse.ArgumentParser, out) -> int:
 
 def _cmd_gen(args, parser: argparse.ArgumentParser, out) -> int:
     try:
-        records = generate_sample(args.size, args.rate, args.quality, args.seed)
+        columns = generate_sample(args.size, args.rate, args.quality, args.seed)
     except ValueError as err:
         parser.error(str(err))
-    text = records_to_csv_text(records)
+    text = records_to_csv_text(columns)
     if args.output is None:
         out.write(text)
     else:
@@ -223,15 +231,16 @@ def main(argv=None, out=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     out = out if out is not None else sys.stdout
+    command_parser = args.command_parser
     try:
         if args.command == "evaluate":
-            return _cmd_evaluate(args, parser, out)
+            return _cmd_evaluate(args, command_parser, out)
         if args.command == "compare":
-            return _cmd_compare(args, parser, out)
+            return _cmd_compare(args, command_parser, out)
         if args.command == "gen":
-            return _cmd_gen(args, parser, out)
+            return _cmd_gen(args, command_parser, out)
         if args.command == "econ":
-            return _cmd_econ(args, parser, out)
+            return _cmd_econ(args, command_parser, out)
     except ToolkitError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.exit_code

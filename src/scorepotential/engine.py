@@ -12,7 +12,7 @@ from .errors import EmptyBatch, ToolkitError
 from .gains import GainsChart, build_gains_chart
 from .metrics import beni_at_cutoff, beni_max, pop_exact
 from .rounding import round_half_up, to_fraction
-from .sample import CutOff, RankedSample, ScoredRecord
+from .sample import CutOff, RankedSample, SampleColumns, ScoredRecord
 
 DECILE_CUTOFFS = tuple(CutOff(Fraction(i, 10)) for i in range(1, 11))
 
@@ -132,14 +132,15 @@ def compare_models(evals: Sequence[ModelEvaluation]) -> ComparisonReport:
     return ComparisonReport(evaluations=ordered, ranking=ranking, below_target=below)
 
 
-def generate_sample(size: int, base_rate, quality: float, seed: int) -> list[ScoredRecord]:
-    """Deterministic synthetic sample with a tunable signal-to-noise mix.
+def generate_columns(size: int, base_rate, quality: float, seed: int) -> SampleColumns:
+    """Deterministic synthetic sample with a tunable signal-to-noise mix, as columns.
 
     Scores are uniform noise plus quality * response, so the two classes
     overlap by exactly 1 - quality: quality 0 carries no information,
     quality 1 puts every responder above every non-responder, and expected
     score potential rises monotonically in between.  The realized responder
-    count is the half-up rounding of base_rate * size.
+    count is the half-up rounding of base_rate * size.  Ids are n000001,
+    n000002, ... (at least six digits).
     """
     if size < 1:
         raise ValueError("size must be positive")
@@ -151,11 +152,14 @@ def generate_sample(size: int, base_rate, quality: float, seed: int) -> list[Sco
 
     k = round_half_up(rate * size)
     rng = np.random.default_rng(seed)
-    responses = np.zeros(size, dtype=int)
-    responses[rng.choice(size, k, replace=False)] = 1
+    responses = np.zeros(size, dtype=np.bool_)
+    responses[rng.choice(size, k, replace=False)] = True
     scores = rng.random(size) + quality * responses
-    width = max(6, len(str(size)))
-    return [
-        ScoredRecord(id=f"n{i + 1:0{width}d}", score=float(s), response=int(v))
-        for i, (s, v) in enumerate(zip(scores, responses))
-    ]
+    id_format = f"n%0{max(6, len(str(size)))}d"
+    ids = [id_format % i for i in range(1, size + 1)]
+    return SampleColumns(ids, scores, responses)
+
+
+def generate_sample(size: int, base_rate, quality: float, seed: int) -> list[ScoredRecord]:
+    """The sample of generate_columns as records, in the same order."""
+    return generate_columns(size, base_rate, quality, seed).records()

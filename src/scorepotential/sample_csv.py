@@ -76,13 +76,28 @@ def parse_sample_csv(path) -> list[ScoredRecord]:
     return read_sample_columns(path).records()
 
 
-def records_to_csv_text(records: Iterable[ScoredRecord]) -> str:
-    """CSV text in the same format parse_sample_csv reads (full float precision)."""
+def records_to_csv_text(sample: SampleColumns | Iterable[ScoredRecord]) -> str:
+    """CSV text in the same format parse_sample_csv reads (full float precision).
+
+    Takes columns, or records whose columns are extracted first.  Scores are
+    written as repr, responses as 0/1.  Lines are formatted directly unless
+    an id holds a character csv.writer may quote; then csv.writer writes the
+    rows, so the bytes are csv.writer's either way.
+    """
+    columns = sample if isinstance(sample, SampleColumns) else SampleColumns.from_records(sample)
+    responses = columns.responses.view(np.uint8).tolist()
+    scores = columns.scores.tolist()
+    header = ",".join(HEADER) + "\n"
+    try:
+        quoted = any(char in "".join(columns.ids) for char in ',"\r\n')
+    except TypeError:  # an id that is not a str, formatted the way csv.writer does
+        quoted = True
+    if not quoted:
+        return header + "".join(
+            [f"{i},{s!r},{r}\n" for i, s, r in zip(columns.ids, scores, responses)])
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(HEADER)
-    for record in records:
-        writer.writerow([record.id, repr(record.score), record.response])
+    out.write(header)
+    csv.writer(out, lineterminator="\n").writerows(zip(columns.ids, map(repr, scores), responses))
     return out.getvalue()
 
 

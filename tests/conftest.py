@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
 from scorepotential import ScoredRecord, TiePolicy, rank_sample
+from scorepotential.rounding import round_half_up, to_fraction
 
 # Score/response pairs of the ten-name worked sample: three responders whose
 # scores rank 9th, 6th and 5th from the bottom.
@@ -114,6 +118,33 @@ def pairwise_auc(records) -> float:
     wins = np.sum(responders[:, None] > others[None, :])
     ties = np.sum(responders[:, None] == others[None, :])
     return float((wins + 0.5 * ties) / (responders.size * others.size))
+
+
+def reference_csv_text(records) -> str:
+    """Record-by-record csv.writer loop, the oracle for the columnar CSV writer."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["id", "score", "response"])
+    for record in records:
+        writer.writerow([record.id, repr(record.score), record.response])
+    return out.getvalue()
+
+
+def reference_generate_sample(size, base_rate, quality, seed) -> list[ScoredRecord]:
+    """Record-per-row generator loop, the oracle for the columnar generator.
+
+    Takes valid arguments only; the range checks are tested on the library.
+    """
+    k = round_half_up(to_fraction(base_rate) * size)
+    rng = np.random.default_rng(seed)
+    responses = np.zeros(size, dtype=int)
+    responses[rng.choice(size, k, replace=False)] = 1
+    scores = rng.random(size) + quality * responses
+    width = max(6, len(str(size)))
+    return [
+        ScoredRecord(id=f"n{i + 1:0{width}d}", score=float(s), response=int(v))
+        for i, (s, v) in enumerate(zip(scores, responses))
+    ]
 
 
 @pytest.fixture

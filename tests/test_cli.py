@@ -250,6 +250,38 @@ def test_any_value_generate_sample_rejects_is_a_usage_error(tmp_path):
     assert excinfo.value.code == 2
 
 
+# Errors found after parsing: by the library, or by a rule across flags.
+@pytest.mark.parametrize("command", [
+    GEN + " --seed -1",
+    GEN + " --size 0",
+    GEN + " --rate 0",
+    GEN + " --quality 2",
+    ECON + " --total-cost -1",
+    ECON + " --addresses 0",
+    ECON + " --responders 6 --addresses 5",
+    EVALUATE + " --addresses 10",
+    EVALUATE + " --total-cost -1 --addresses 10 --responders 1",
+    "compare {tmp}/a/m.csv {tmp}/b/m.csv",
+])
+def test_range_errors_print_the_subcommand_usage(command, tmp_path, capsys):
+    argv = command.format(tmp=tmp_path).split()
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv, out=io.StringIO())
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: scorepotential {argv[0]} ")
+    assert f"scorepotential {argv[0]}: error: " in err
+
+
+@pytest.mark.parametrize("cutoff", ["1/0", "10/0%"])
+def test_zero_divisor_cutoff_is_worded(cutoff, rate4_csv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["evaluate", str(rate4_csv), "--cutoffs", f"20%,{cutoff}"])
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: argument --cutoffs: bad cut-off {cutoff!r}: not a rational number\n")
+
+
 def test_console_entrypoint_is_installed():
     import shutil
 

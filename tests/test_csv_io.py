@@ -13,6 +13,7 @@ from scorepotential import (
     ScoredRecord,
     parse_sample_csv,
     read_sample_columns,
+    records_to_csv_text,
     write_sample_csv,
 )
 from tests.conftest import ten_name_records
@@ -111,6 +112,11 @@ def test_round_trip_preserves_full_float_precision(tmp_path):
     path = tmp_path / "gen.csv"
     write_sample_csv(records, path)
     assert parse_sample_csv(path) == records
+
+
+def test_ids_that_are_not_strings_are_written_as_before():
+    records = [ScoredRecord(5, 1.0, 0), ScoredRecord(None, 2.0, 1)]
+    assert records_to_csv_text(records) == "id,score,response\n5,1.0,0\n,2.0,1\n"
 
 
 def test_blank_first_line_does_not_skip_the_header_check(tmp_path):

@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scorepotential import (
     CutOff,
     EvaluationContext,
+    SampleColumns,
     ScoredRecord,
     TiePolicy,
     auc_crosscheck,
@@ -20,14 +21,22 @@ from scorepotential import (
     evaluate_model,
     evaluation_from_csv,
     evaluation_from_dict,
+    generate_columns,
+    generate_sample,
     perfect_rank_sum,
     pop_denominator_exact,
     pop_exact,
     pop_numerator_exact,
     rank_sample,
+    records_to_csv_text,
     render_combined_chart,
 )
-from tests.conftest import pairwise_auc, reference_rank
+from tests.conftest import (
+    pairwise_auc,
+    reference_csv_text,
+    reference_generate_sample,
+    reference_rank,
+)
 
 
 @st.composite
@@ -304,3 +313,45 @@ def test_machine_formats_round_trip_to_the_same_bytes(records, policy, target, m
     from_csv = evaluation_from_csv(as_csv)
     assert from_csv == evaluation
     assert render_combined_chart(from_csv, "csv") == as_csv
+
+
+# Characters that csv.writer quotes (or, for \r, might), beside spaces and non-ASCII.
+QUOTED_ID_CHARS = ',"\r\n'
+EDGE_SCORES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e308, -1e308,
+               1.7976931348623157e308]
+
+
+@st.composite
+def writable_records(draw):
+    """Records whose ids may need CSV quoting and whose scores reach the float edges."""
+    # The quoted characters come one kind at a time or all together, so each
+    # must send the writer to csv.writer on its own.
+    extra = " é€😀" + draw(st.sampled_from(["", *QUOTED_ID_CHARS, QUOTED_ID_CHARS]))
+    chars = st.one_of(st.characters(blacklist_categories=("Cs",),
+                                    blacklist_characters=QUOTED_ID_CHARS),
+                      st.sampled_from(extra))
+    scores = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                       st.sampled_from(EDGE_SCORES))
+    rows = draw(st.lists(st.tuples(st.text(chars, max_size=6), scores, st.integers(0, 1)),
+                         max_size=30))
+    return [ScoredRecord(*row) for row in rows]
+
+
+@given(records=writable_records())
+def test_csv_writer_matches_the_reference_loop(records):
+    expected = reference_csv_text(records)
+    assert records_to_csv_text(records) == expected
+    assert records_to_csv_text(SampleColumns.from_records(records)) == expected
+
+
+@given(size=st.integers(1, 3000),
+       rate=st.one_of(st.fractions(0, 1, max_denominator=1000), st.floats(0, 1))
+       .filter(lambda r: r > 0),
+       quality=st.floats(0, 1),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60)
+def test_columnar_generator_matches_the_reference_loop(size, rate, quality, seed):
+    columns = generate_columns(size, rate, quality, seed)
+    expected = reference_generate_sample(size, rate, quality, seed)
+    assert columns.records() == generate_sample(size, rate, quality, seed) == expected
+    assert records_to_csv_text(columns) == reference_csv_text(expected)
