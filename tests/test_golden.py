@@ -48,6 +48,7 @@ CASES = {
     "evaluate_rate8.csv": ["evaluate", "rate8", "--format", "csv"],
     "evaluate_all_responders.json": ["evaluate", "all_responders", "--format", "json"],
     "evaluate_all_responders.csv": ["evaluate", "all_responders", "--format", "csv"],
+    "evaluate_all_responders.txt": ["evaluate", "all_responders"],
     "evaluate_rate4_economics.json": ["evaluate", "rate4", "--format", "json", *RATE4_ECONOMICS],
     "evaluate_rate4_economics.csv": ["evaluate", "rate4", "--format", "csv", *RATE4_ECONOMICS],
     "evaluate_rate4_economics.txt": ["evaluate", "rate4", *RATE4_ECONOMICS],
@@ -62,6 +63,10 @@ CASES = {
     "compare_target80.csv":
         ["compare", "rate4", "rate8", "all_responders", "--target", "80", "--format", "csv"],
     "compare_target80.txt": ["compare", "rate4", "rate8", "all_responders", "--target", "80"],
+    "econ_rate4.txt": ["econ", *RATE4_ECONOMICS],
+    "econ_rate4.json": ["econ", "--format", "json", *RATE4_ECONOMICS],
+    "econ_no_responders.txt": ["econ", *NO_RESPONDER_ECONOMICS],
+    "econ_no_responders.json": ["econ", "--format", "json", *NO_RESPONDER_ECONOMICS],
     "gen_37_rate4.csv":
         ["gen", "--size", "37", "--rate", "0.04", "--quality", "0.6", "--seed", "7"],
     "gen_1000_rate4.csv":
