@@ -315,9 +315,8 @@ def evaluation_to_csv(
     if economics is not None:
         writer.writerow([])
         summary = economics_summary(economics)
-        loss = summary.pop("spreading_loss")
-        if loss is not None:
-            summary["spreading_loss"] = loss["loss"]
+        loss = summary["spreading_loss"]
+        summary["spreading_loss"] = None if loss is None else loss["loss"]
         writer.writerows([key, "" if value is None else value] for key, value in summary.items())
     return out.getvalue()
 

@@ -208,6 +208,15 @@ def test_economics_without_responders_is_reported_not_computed():
     assert "undefined" in text
 
 
+@pytest.mark.parametrize("econ", [CampaignEconomics(50_000, 100_000, 4_000),
+                                  CampaignEconomics(100, 50, 0)])
+def test_economics_csv_and_json_carry_the_same_keys(rate8_evaluation, econ):
+    as_json = json.loads(render_combined_chart(rate8_evaluation, "json", econ))
+    *_, economics_rows = render_combined_chart(rate8_evaluation, "csv", econ).split("\n\n")
+    keys = [row.split(",")[0] for row in economics_rows.splitlines()]
+    assert sorted(keys) == sorted(as_json["economics"])
+
+
 def test_json_output_ends_with_newline(rate4_evaluation):
     assert render_combined_chart(rate4_evaluation, "json").endswith("\n")
     assert to_json({"a": 1}).endswith("\n")
