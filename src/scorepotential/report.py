@@ -17,7 +17,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 from functools import cache
 from itertools import groupby
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, get_args, get_origin, get_type_hints
 
 from .economics import (
@@ -161,24 +161,19 @@ FIELD_COLUMNS = {
 }
 
 
-# dump/load: a value to and from JSON; cell/parse: a value, or a tuple's
-# item, to and from a CSV cell (None: the value fills a section of its own).
-_Codec = namedtuple("_Codec", "dump load cell parse", defaults=(None, None))
-
-
-def _same(value):
-    return value
-
+# dump/load: a value to and from JSON, None where the value is its own JSON;
+# cell: a value, or a tuple's item, to a CSV cell, None where csv.writer's own
+# str (repr for a float, "" for None) is the cell; parse: a CSV cell to a value.
+_Codec = namedtuple("_Codec", "dump load cell parse", defaults=(None,) * 4)
 
 _LEAF_CODECS = {
-    str: _Codec(_same, _same, str, str),
-    int: _Codec(_same, _same, str, int),
-    float: _Codec(_same, _same, repr, float),
-    Fraction: _Codec(str, Fraction, str, Fraction),
-    float | None: _Codec(_same, _same, lambda v: "" if v is None else repr(v),
-                         lambda s: None if s == "" else float(s)),
-    bool | None: _Codec(_same, _same, lambda v: "" if v is None else "true" if v else "false",
-                        lambda s: None if s == "" else s == "true"),
+    str: _Codec(parse=str),
+    int: _Codec(parse=int),
+    float: _Codec(parse=float),
+    Fraction: _Codec(str, Fraction, parse=Fraction),
+    float | None: _Codec(parse=lambda s: None if s == "" else float(s)),
+    bool | None: _Codec(cell=lambda v: None if v is None else "true" if v else "false",
+                        parse=lambda s: None if s == "" else s == "true"),
     frozenset[str]: _Codec(sorted, frozenset, lambda v: ";".join(sorted(v)),
                            lambda s: frozenset(f for f in s.split(";") if f)),
 }
@@ -192,21 +187,6 @@ def _fields(cls) -> tuple[tuple[str, object, _Codec], ...]:
     return tuple((name, hints[name], _codec(hints[name])) for name in names)
 
 
-def _compile(params: str, body: str, functions: dict) -> Callable:
-    """A function built once from source, so that it runs as fast as the same
-    code written by hand (dataclasses builds __init__ this way).  Only field
-    names and the names in functions enter the source."""
-    return eval(f"lambda {params}: {body}", functions)
-
-
-def _call(functions: dict, convert: Callable, arg: str) -> str:
-    """Source of convert(arg), with convert named in functions; _same is left out."""
-    if convert is _same:
-        return arg
-    functions[f"f{len(functions)}"] = convert
-    return f"f{len(functions) - 1}({arg})"
-
-
 @cache
 def _codec(hint) -> _Codec:
     if hint in _LEAF_CODECS:
@@ -214,8 +194,8 @@ def _codec(hint) -> _Codec:
     args = get_args(hint)
     if get_origin(hint) is tuple:  # tuple[X, ...]: a JSON list; in CSV, a table column
         item = _codec(args[0])
-        return _Codec(list if item.dump is _same else lambda v: list(map(item.dump, v)),
-                      tuple if item.load is _same else lambda v: tuple(map(item.load, v)),
+        return _Codec(list if item.dump is None else lambda v: list(map(item.dump, v)),
+                      tuple if item.load is None else lambda v: tuple(map(item.load, v)),
                       item.cell, item.parse)
     if get_origin(hint) is dict:  # dict[K, V]: a list of V objects, each with K's one field
         ((key_field, _, key),) = _fields(args[0])
@@ -224,37 +204,52 @@ def _codec(hint) -> _Codec:
             lambda m: [{name: key.dump(getattr(k, key_field)), **value.dump(v)}
                        for k, v in m.items()],
             lambda entries: {args[0](key.load(e[name])): value.load(e) for e in entries})
-    functions = {"cls": hint}  # a dataclass or NamedTuple: a JSON object of its fields
-    dump = ", ".join(f"{f!r}: {_call(functions, c.dump, 'o.' + f)}" for f, _, c in _fields(hint))
-    load = ", ".join(_call(functions, c.load, f"j[{f!r}]") for f, _, c in _fields(hint))
-    return _Codec(_compile("o", f"{{{dump}}}", functions), _compile("j", f"cls({load})", functions))
+    # A dataclass or NamedTuple: a JSON object of its fields, of which only
+    # those with a dump are converted.  A dataclass's __dict__ holds its fields
+    # and copies faster than the fields can be gathered one by one.
+    get = itemgetter(*(name for name, _, _ in _fields(hint)))
+    converted = [(i, name, c) for i, (name, _, c) in enumerate(_fields(hint))
+                 if c.dump is not None]
+    as_dict = (lambda o: dict(vars(o))) if is_dataclass(hint) else hint._asdict
+
+    def dump(o) -> dict:
+        doc = as_dict(o)
+        for _, name, c in converted:
+            doc[name] = c.dump(doc[name])
+        return doc
+
+    def load(doc: dict):
+        values = list(get(doc))
+        for i, _, c in converted:
+            values[i] = c.load(values[i])
+        return hint(*values)
+
+    return _Codec(dump, load)
 
 
-def _section(header: list[str], *owners: tuple[type, Callable]) -> tuple:
-    """One CSV section: its (name, codec) columns, its sources and its row.
+def _section(header: list[str], *owners: tuple[type, Callable]) -> list[tuple]:
+    """One CSV section: a (name, codec, column) per name of the header.
 
     A column holds the field of its name of the first owner (class, rows)
     with one; rows takes an evaluation to the class's objects in the
     section's rows, and a tuple field of such an object holds a whole
-    column.  row takes one item of each source(evaluation) to a row's cells.
+    column.  column takes an evaluation to the column's cells.
     """
-    columns, sources, cells, functions, owner_args = [], [], [], {}, {}
+    section = []
     for name in header:
-        owner, rows, field, hint, codec = next(
-            (i, rows, field, hint, codec) for i, (cls, rows) in enumerate(owners)
+        rows, field, hint, codec = next(
+            (rows, field, hint, codec) for cls, rows in owners
             for field, hint, codec in _fields(cls) if FIELD_COLUMNS.get(field, field) == name)
-        if get_origin(hint) is tuple:
-            sources.append(lambda e, r=rows, g=attrgetter(field): g(*r(e)))
-            arg = f"s{len(sources) - 1}"
-        else:
-            if owner not in owner_args:
-                sources.append(rows)
-                owner_args[owner] = f"s{len(sources) - 1}"
-            arg = f"{owner_args[owner]}.{field}"
-        columns.append((name, codec))
-        cells.append(_call(functions, codec.cell, arg))
-    params = ", ".join(f"s{i}" for i in range(len(sources)))
-    return columns, sources, _compile(params, f"({', '.join(cells)},)", functions)
+        section.append((name, codec, _column(rows, attrgetter(field),
+                                             get_origin(hint) is tuple, codec.cell)))
+    return section
+
+
+def _column(rows: Callable, get: Callable, whole: bool, cell: Callable | None) -> Callable:
+    def column(evaluation: ModelEvaluation):
+        values = get(*rows(evaluation)) if whole else map(get, rows(evaluation))
+        return values if cell is None else map(cell, values)
+    return column
 
 
 def _field_of_type(cls, hint) -> Callable:
@@ -266,7 +261,7 @@ _BUCKETS, _PROFILE = tuple[Bucket, ...], dict[CutOff, BeniPoint]
 
 
 @cache
-def _sections() -> tuple[tuple, tuple, tuple, tuple]:
+def _sections() -> tuple[list[tuple], ...]:
     """The meta, bucket, profile and comparison sections, built on first use."""
     chart = _field_of_type(ModelEvaluation, GainsChart)
     buckets = _field_of_type(GainsChart, _BUCKETS)
@@ -297,9 +292,8 @@ def to_json(data: dict) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-def _rows(section: tuple, evaluation: ModelEvaluation):
-    _, sources, row = section
-    return map(row, *(source(evaluation) for source in sources))
+def _rows(section: list[tuple], evaluation: ModelEvaluation):
+    return zip(*(column(evaluation) for _, _, column in section))
 
 
 def evaluation_to_csv(
@@ -308,7 +302,7 @@ def evaluation_to_csv(
     meta, buckets, profile, _ = _sections()
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerows(zip(META_CSV_COLUMNS, *_rows(meta, evaluation)))
+    writer.writerows((name, *column(evaluation)) for name, _, column in meta)
     for header, section in ((BUCKET_CSV_HEADER, buckets), (PROFILE_CSV_HEADER, profile)):
         writer.writerows(([], header))
         writer.writerows(_rows(section, evaluation))
@@ -317,18 +311,17 @@ def evaluation_to_csv(
         summary = economics_summary(economics)
         loss = summary["spreading_loss"]
         summary["spreading_loss"] = None if loss is None else loss["loss"]
-        writer.writerows([key, "" if value is None else value] for key, value in summary.items())
+        writer.writerows(summary.items())
     return out.getvalue()
 
 
-def _read_table(rows: list[list[str]], section: tuple) -> dict[str, list]:
-    columns = section[0]
-    names = [name for name, _ in columns]
+def _read_table(rows: list[list[str]], section: list[tuple]) -> dict[str, list]:
+    names = [name for name, _, _ in section]
     if rows[0] != names or any(len(row) != len(names) for row in rows):
         raise ValueError(f"expected a table of the columns {names}")
-    cells = list(zip(*rows[1:])) or [()] * len(columns)
+    cells = list(zip(*rows[1:])) or [()] * len(section)
     return {name: list(map(codec.parse, column))
-            for (name, codec), column in zip(columns, cells)}
+            for (name, codec, _), column in zip(section, cells)}
 
 
 def _build(cls, columns: dict):
@@ -349,10 +342,10 @@ def evaluation_from_csv(text: str) -> ModelEvaluation:
         raise ValueError("expected meta, bucket, and profile sections")
     meta_section, bucket_section, profile_section, _ = _sections()
     cells = {row[0]: row[1] for row in sections[0] if len(row) > 1}
-    missing = [name for name, _ in meta_section[0] if name not in cells]
+    missing = [name for name, _, _ in meta_section if name not in cells]
     if missing:
         raise ValueError(f"expected a 'name,value' meta row for each of {missing}")
-    meta = {name: [codec.parse(cells[name])] for name, codec in meta_section[0]}
+    meta = {name: [codec.parse(cells[name])] for name, codec, _ in meta_section}
     table = _read_table(sections[1], bucket_section)
     points = _read_table(sections[2], profile_section)
     buckets = tuple(_build(Bucket, table))
@@ -388,7 +381,7 @@ def comparison_to_csv(report: ComparisonReport) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     section = _sections()[3]
-    writer.writerow(["rank", *(name for name, _ in section[0])])
+    writer.writerow(["rank", *(name for name, _, _ in section)])
     for rank, evaluation in enumerate(report.evaluations, start=1):
         writer.writerows([rank, *cells] for cells in _rows(section, evaluation))
     return out.getvalue()
