@@ -145,8 +145,9 @@ def build_parser() -> argparse.ArgumentParser:
                         default="text")
 
     # Errors found after parsing print the usage line of their subcommand.
-    for command_parser in sub.choices.values():
-        command_parser.set_defaults(command_parser=command_parser)
+    for command_parser, run in ((p_eval, _cmd_evaluate), (p_cmp, _cmd_compare),
+                                (p_gen, _cmd_gen), (p_econ, _cmd_econ)):
+        command_parser.set_defaults(command_parser=command_parser, run=run)
     return parser
 
 
@@ -231,23 +232,14 @@ def main(argv=None, out=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     out = out if out is not None else sys.stdout
-    command_parser = args.command_parser
     try:
-        if args.command == "evaluate":
-            return _cmd_evaluate(args, command_parser, out)
-        if args.command == "compare":
-            return _cmd_compare(args, command_parser, out)
-        if args.command == "gen":
-            return _cmd_gen(args, command_parser, out)
-        if args.command == "econ":
-            return _cmd_econ(args, command_parser, out)
+        return args.run(args, args.command_parser, out)
     except ToolkitError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.exit_code
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return IO_ERROR_EXIT
-    raise AssertionError("unreachable: unknown command")
 
 
 def entrypoint() -> None:
