@@ -33,12 +33,11 @@ def round_half_up(value) -> int:
     """Round to the nearest integer, halves toward +infinity (1.5 -> 2, -1.5 -> -1).
 
     Floats round like the exact Fraction branch: x - floor(x) is exact, where
-    x + 0.5 would round 0.49999999999999994 up to 1.0.
+    x + 0.5 would round 0.49999999999999994 up to 1.0.  An int takes the
+    float path and comes back unchanged.
     """
-    if not isinstance(value, float):  # floats first: Fraction is an ABC, slow to test
-        if isinstance(value, Fraction):
-            return math.floor(value + Fraction(1, 2))
-        if isinstance(value, int):
-            return value
+    # floats first: Fraction is an ABC, slow to test
+    if not isinstance(value, float) and isinstance(value, Fraction):
+        return math.floor(value + Fraction(1, 2))
     floor = math.floor(value)
     return floor + (value - floor >= 0.5)

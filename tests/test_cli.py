@@ -104,12 +104,14 @@ def test_compare_ranks_and_flags_below_target(tmp_path, rate4_csv):
     assert data["below_target"] == ["rate4"]
 
 
-def test_compare_writes_figure(tmp_path, rate4_csv):
+# Cut-offs all below the 4 % response rate: the figure reads the last one.
+@pytest.mark.parametrize("cutoffs", [[], ["--cutoffs", "1%"]])
+def test_compare_writes_figure(tmp_path, rate4_csv, cutoffs):
     strong = tmp_path / "strong.csv"
     write_sample_csv(bucketed_records([4, 0, 0, 0, 0, 0, 0, 0, 0, 0], 10), strong)
     figure = tmp_path / "out.svg"
     code, _ = run_cli(
-        "compare", str(rate4_csv), str(strong), "--figure", str(figure)
+        "compare", str(rate4_csv), str(strong), "--figure", str(figure), *cutoffs
     )
     assert code == 0
     svg = figure.read_text(encoding="utf-8")

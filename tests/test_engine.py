@@ -108,6 +108,8 @@ class TestEvaluateModel:
             EvaluationContext(sample=rate4_sample, stretch_target=0)
         with pytest.raises(ValueError):
             EvaluationContext(sample=rate4_sample, bucket_count=0)
+        with pytest.raises(ValueError, match="cut-off"):
+            EvaluationContext(sample=rate4_sample, cutoffs_of_interest=())
 
 
 class TestCompareModels:

@@ -25,7 +25,7 @@ from scorepotential import (
     rank_sample,
     selection_count,
 )
-from scorepotential.rounding import round_half_up
+from scorepotential.rounding import round_half_up, to_fraction
 
 
 class TestBeni:
@@ -106,8 +106,17 @@ def test_round_half_up_on_floats_matches_the_exact_rule():
     below_half = 0.49999999999999994  # the largest float below 0.5
     assert round_half_up(below_half) == 0 == round_half_up(Fraction(below_half))
     for value in (0.5, 1.5, 2.5, -0.5, -1.5, -2.5, 2.4999999999999996, -0.49999999999999994,
-                  4503599627370495.5, 1e300, -7.25):
+                  4503599627370495.5, 1e300, -7.25, 0, -7, 2**53 + 1):
         assert round_half_up(value) == round_half_up(Fraction(value)), value
+
+
+@pytest.mark.parametrize("value, error", [
+    (True, TypeError), (float("nan"), ValueError), (float("-inf"), ValueError),
+    ([1, 2], TypeError),
+])
+def test_to_fraction_rejects_what_is_not_a_finite_rational(value, error):
+    with pytest.raises(error):
+        to_fraction(value)
 
 
 class TestPopNumerator:

@@ -109,6 +109,12 @@ def test_csv_table_rows_must_fill_every_column(rate4_evaluation):
         evaluation_from_csv("".join(lines))
 
 
+def test_csv_reader_needs_three_sections(rate4_evaluation):
+    meta_and_buckets = render_combined_chart(rate4_evaluation, "csv").split("\n\n")[:2]
+    with pytest.raises(ValueError, match="sections"):
+        evaluation_from_csv("\n\n".join(meta_and_buckets))
+
+
 @pytest.mark.parametrize("path", [("gains", "p_down_chart"), ("beni_profile", 0, "beni_max")])
 def test_json_reader_names_a_missing_key(rate4_evaluation, path):
     data = evaluation_to_dict(rate4_evaluation)
