@@ -205,22 +205,22 @@ def _codec(hint) -> _Codec:
                        for k, v in m.items()],
             lambda entries: {args[0](key.load(e[name])): value.load(e) for e in entries})
     # A dataclass or NamedTuple: a JSON object of its fields, of which only
-    # those with a dump are converted.  A dataclass's __dict__ holds its fields
-    # and copies faster than the fields can be gathered one by one.
-    get = itemgetter(*(name for name, _, _ in _fields(hint)))
-    converted = [(i, name, c) for i, (name, _, c) in enumerate(_fields(hint))
-                 if c.dump is not None]
-    as_dict = (lambda o: dict(vars(o))) if is_dataclass(hint) else hint._asdict
+    # those with a dump are converted.  vars(o) would copy faster, but it
+    # gives the object a __dict__ of its own, and the evaluation, read again
+    # after its dump, then reads and collects slower.
+    names = [name for name, _, _ in _fields(hint)]
+    read, get = attrgetter(*names), itemgetter(*names)
+    converted = [(i, c) for i, (_, _, c) in enumerate(_fields(hint)) if c.dump is not None]
 
     def dump(o) -> dict:
-        doc = as_dict(o)
-        for _, name, c in converted:
-            doc[name] = c.dump(doc[name])
-        return doc
+        values = list(read(o))
+        for i, c in converted:
+            values[i] = c.dump(values[i])
+        return dict(zip(names, values))
 
     def load(doc: dict):
         values = list(get(doc))
-        for i, _, c in converted:
+        for i, c in converted:
             values[i] = c.load(values[i])
         return hint(*values)
 
