@@ -36,8 +36,8 @@ def round_half_up(value) -> int:
     x + 0.5 would round 0.49999999999999994 up to 1.0.  An int takes the
     float path and comes back unchanged.
     """
-    # floats first: Fraction is an ABC, slow to test
-    if not isinstance(value, float) and isinstance(value, Fraction):
-        return math.floor(value + Fraction(1, 2))
+    if not isinstance(value, float):  # floats first: Fraction is an ABC, slow to test
+        if isinstance(value, Fraction):
+            return math.floor(value + Fraction(1, 2))
     floor = math.floor(value)
     return floor + (value - floor >= 0.5)
