@@ -163,7 +163,8 @@ FIELD_COLUMNS = {
 
 # dump/load: a value to and from JSON, None where the value is its own JSON;
 # cell: a value, or a tuple's item, to a CSV cell, None where csv.writer's own
-# str (repr for a float, "" for None) is the cell; parse: a CSV cell to a value.
+# str (repr for a float, "" for None) is the cell; parse: a CSV cell to a value
+# (None: the value fills a section of its own).
 _Codec = namedtuple("_Codec", "dump load cell parse", defaults=(None,) * 4)
 
 _LEAF_CODECS = {

@@ -104,7 +104,8 @@ def test_compare_ranks_and_flags_below_target(tmp_path, rate4_csv):
     assert data["below_target"] == ["rate4"]
 
 
-# Cut-offs all below the 4 % response rate: the figure reads the last one.
+# The second case profiles only a cut-off below the 4 % response rate, so the
+# figure reads the attainment at the last profiled cut-off.
 @pytest.mark.parametrize("cutoffs", [[], ["--cutoffs", "1%"]])
 def test_compare_writes_figure(tmp_path, rate4_csv, cutoffs):
     strong = tmp_path / "strong.csv"
