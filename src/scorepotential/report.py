@@ -253,28 +253,15 @@ def _column(rows: Callable, get: Callable, whole: bool, cell: Callable | None) -
     return column
 
 
-def _field_of_type(cls, hint) -> Callable:
-    (name,) = [name for name, field_hint, _ in _fields(cls) if field_hint == hint]
-    return attrgetter(name)
-
-
-_BUCKETS, _PROFILE = tuple[Bucket, ...], dict[CutOff, BeniPoint]
-
-
 @cache
 def _sections() -> tuple[list[tuple], ...]:
-    """The meta, bucket, profile and comparison sections, built on first use."""
-    chart = _field_of_type(ModelEvaluation, GainsChart)
-    buckets = _field_of_type(GainsChart, _BUCKETS)
-    profile = _field_of_type(ModelEvaluation, _PROFILE)
+    """The meta, bucket and profile sections, built on first use."""
+    chart = (GainsChart, lambda e: (e.gains,))
     return (
-        _section(META_CSV_COLUMNS, (ModelEvaluation, lambda e: (e,)),
-                 (GainsChart, lambda e: (chart(e),))),
-        _section(BUCKET_CSV_HEADER, (Bucket, lambda e: buckets(chart(e))),
-                 (GainsChart, lambda e: (chart(e),))),
-        _section(PROFILE_CSV_HEADER, (CutOff, profile), (BeniPoint, lambda e: profile(e).values())),
-        # A comparison row: the rank, then the evaluation's meta columns up to the flags.
-        _section(META_CSV_COLUMNS[:7], (ModelEvaluation, lambda e: (e,))),
+        _section(META_CSV_COLUMNS, (ModelEvaluation, lambda e: (e,)), chart),
+        _section(BUCKET_CSV_HEADER, (Bucket, attrgetter("gains.buckets")), chart),
+        _section(PROFILE_CSV_HEADER, (CutOff, attrgetter("beni_profile")),
+                 (BeniPoint, lambda e: e.beni_profile.values())),
     )
 
 
@@ -300,7 +287,7 @@ def _rows(section: list[tuple], evaluation: ModelEvaluation):
 def evaluation_to_csv(
     evaluation: ModelEvaluation, economics: CampaignEconomics | None = None
 ) -> str:
-    meta, buckets, profile, _ = _sections()
+    meta, buckets, profile = _sections()
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerows((name, *column(evaluation)) for name, _, column in meta)
@@ -318,7 +305,7 @@ def evaluation_to_csv(
 
 def _read_table(rows: list[list[str]], section: list[tuple]) -> dict[str, list]:
     names = [name for name, _, _ in section]
-    if rows[0] != names or any(len(row) != len(names) for row in rows):
+    if list(rows[0]) != names or any(len(row) != len(names) for row in rows):
         raise ValueError(f"expected a table of the columns {names}")
     cells = list(zip(*rows[1:])) or [()] * len(section)
     return {name: list(map(codec.parse, column))
@@ -327,10 +314,9 @@ def _read_table(rows: list[list[str]], section: list[tuple]) -> dict[str, list]:
 
 def _build(cls, columns: dict):
     """One cls per row of the columns named after its fields; a tuple field
-    takes a whole column, and a field whose annotation is a key takes that."""
+    takes a whole column."""
     return map(cls, *(
-        [columns[hint]] if hint in columns
-        else [tuple(columns[FIELD_COLUMNS.get(field, field)])] if get_origin(hint) is tuple
+        [tuple(columns[FIELD_COLUMNS.get(field, field)])] if get_origin(hint) is tuple
         else columns[FIELD_COLUMNS.get(field, field)]
         for field, hint, _ in _fields(cls)))
 
@@ -341,18 +327,17 @@ def evaluation_from_csv(text: str) -> ModelEvaluation:
                 if filled]
     if len(sections) < 3:
         raise ValueError("expected meta, bucket, and profile sections")
-    meta_section, bucket_section, profile_section, _ = _sections()
-    cells = {row[0]: row[1] for row in sections[0] if len(row) > 1}
-    missing = [name for name, _, _ in meta_section if name not in cells]
-    if missing:
-        raise ValueError(f"expected a 'name,value' meta row for each of {missing}")
-    meta = {name: [codec.parse(cells[name])] for name, codec, _ in meta_section}
+    meta_section, bucket_section, profile_section = _sections()
+    for row in sections[0]:
+        if len(row) != 2:
+            raise ValueError(f"expected a meta row 'name,value', not {','.join(row)!r}")
+    # The meta rows, transposed, are a table of one row.
+    meta = _read_table(list(zip(*sections[0])), meta_section)
     table = _read_table(sections[1], bucket_section)
     points = _read_table(sections[2], profile_section)
-    buckets = tuple(_build(Bucket, table))
-    (chart,) = _build(GainsChart, {**meta, **table, _BUCKETS: buckets})
+    (chart,) = _build(GainsChart, {**meta, **table, "buckets": _build(Bucket, table)})
     profile = dict(zip(_build(CutOff, points), _build(BeniPoint, points)))
-    (evaluation,) = _build(ModelEvaluation, {**meta, GainsChart: chart, _PROFILE: profile})
+    (evaluation,) = _build(ModelEvaluation, {**meta, "gains": [chart], "beni_profile": [profile]})
     return evaluation
 
 
@@ -381,7 +366,7 @@ def render_combined_chart(
 def comparison_to_csv(report: ComparisonReport) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    section = _sections()[3]
+    section = _sections()[0][:7]  # the meta columns up to the flags
     writer.writerow(["rank", *(name for name, _, _ in section)])
     for rank, evaluation in enumerate(report.evaluations, start=1):
         writer.writerows([rank, *cells] for cells in _rows(section, evaluation))

@@ -136,6 +136,28 @@ def test_csv_reader_names_a_missing_meta_value(rate4_evaluation, replacement):
         evaluation_from_csv("".join(lines))
 
 
+def _repeat_model_id(lines):
+    lines.insert(1, "model_id,other\n")
+
+
+def _add_a_cell(lines):
+    lines[0] = lines[0].rstrip("\n") + ",extra\n"
+
+
+def _swap_min_and_max(lines):
+    i = next(i for i, line in enumerate(lines) if line.startswith("pop_approx_min,"))
+    lines[i], lines[i + 1] = lines[i + 1], lines[i]
+
+
+@pytest.mark.parametrize("edit", [_repeat_model_id, _add_a_cell, _swap_min_and_max])
+def test_csv_reader_takes_each_meta_row_once_in_order(rate4_evaluation, edit):
+    lines = render_combined_chart(rate4_evaluation, "csv").splitlines(keepends=True)
+    assert lines[0].startswith("model_id,")
+    edit(lines)
+    with pytest.raises(ValueError):
+        evaluation_from_csv("".join(lines))
+
+
 def test_importing_builds_no_report_schema():
     # The converters and CSV sections are compiled on first use, not at import.
     code = ("import scorepotential.report as r; "
