@@ -60,11 +60,10 @@ class GainsChart:
     row_cutoffs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        rows = len(self.buckets)
-        for name in ("beni_cumulative", "beni_max_cumulative", "attainment_ratio",
+        for name in ("buckets", "beni_cumulative", "beni_max_cumulative", "attainment_ratio",
                      "pop_cumulative", "row_cutoffs"):
-            if len(getattr(self, name)) != rows:
-                raise ValueError(f"{name} must have one entry per bucket row")
+            if len(getattr(self, name)) != self.bucket_count:
+                raise ValueError(f"{name} must have bucket_count ({self.bucket_count}) entries")
 
 
 def p_up_max_bucket(bucket_no: int, responders: int, spacing) -> float:

@@ -136,6 +136,24 @@ def test_csv_reader_names_a_missing_meta_value(rate4_evaluation, replacement):
         evaluation_from_csv("".join(lines))
 
 
+@pytest.mark.parametrize("key, edit", [
+    ("bucket_count", lambda gains: gains.update(bucket_count=3)),
+    ("beni_cumulative", lambda gains: gains["beni_cumulative"].pop()),
+])
+def test_json_reader_rejects_a_chart_off_its_bucket_rows(rate4_evaluation, key, edit):
+    data = evaluation_to_dict(rate4_evaluation)
+    edit(data["gains"])
+    with pytest.raises(ValueError, match=key):
+        evaluation_from_dict(data)
+
+
+def test_csv_reader_rejects_a_bucket_count_off_its_rows(rate4_evaluation):
+    text = render_combined_chart(rate4_evaluation, "csv")
+    assert "\nbucket_count,10\n" in text
+    with pytest.raises(ValueError, match="bucket_count"):
+        evaluation_from_csv(text.replace("\nbucket_count,10\n", "\nbucket_count,3\n"))
+
+
 def _repeat_model_id(lines):
     lines.insert(1, "model_id,other\n")
 
