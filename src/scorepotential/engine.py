@@ -10,7 +10,14 @@ import numpy as np
 
 from .errors import EmptyBatch, ToolkitError
 from .gains import GainsChart, build_gains_chart
-from .metrics import beni_at_cutoff, beni_max, pop_exact
+from .metrics import (
+    attainment_ratio,
+    benefit_ratio,
+    beni_at_cutoff,
+    beni_ceiling,
+    pop_exact,
+    selection_count,
+)
 from .rounding import round_half_up, to_fraction
 from .sample import CutOff, RankedSample, SampleColumns, ScoredRecord
 
@@ -81,10 +88,13 @@ def evaluate_model(ctx: EvaluationContext, model_id: str) -> ModelEvaluation:
         exact = pop_exact(sample)
         chart = build_gains_chart(sample, ctx.bucket_count)
         profile = {}
+        rate = sample.response_rate_r
         for cut in ctx.cutoffs_of_interest:
             value = beni_at_cutoff(sample, cut)
-            ceiling = beni_max(cut, sample.response_rate_r)
-            profile[cut] = BeniPoint(value, ceiling, 100 * value / ceiling)
+            n = selection_count(sample.size_x, cut)  # the pass set of beni_at_cutoff
+            benefit = benefit_ratio(Fraction(int(sample.top_responders[n]), n), rate)
+            ceiling = beni_ceiling(cut.fraction, rate)
+            profile[cut] = BeniPoint(value, float(ceiling), float(attainment_ratio(benefit, ceiling)))
     except ToolkitError as err:
         err.model_id = model_id
         raise

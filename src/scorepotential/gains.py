@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import IndivisibleBuckets, NoResponders
-from .metrics import arithmetic_row, beni_ceiling, benefit_ratio
+from .metrics import arithmetic_row, attainment_ratio, beni_ceiling, benefit_ratio
 from .rounding import to_fraction
 from .sample import RankedSample
 
@@ -151,7 +151,7 @@ def build_gains_chart(sample: RankedSample, bucket_count: int) -> GainsChart:
         buckets.append(Bucket(bno, names_per_bucket, resp, *marginal))
         beni_cum.append(float(beni_c))
         beni_max_cum.append(float(ceiling))
-        attainment.append(float(beni_c / ceiling * 100))
+        attainment.append(float(attainment_ratio(beni_c, ceiling)))
         pop_cum.append(float(sum_avg / p_down * 100))
         row_cutoffs.append(row_cut)
 

@@ -46,6 +46,11 @@ def beni_ceiling(cut: Fraction, base: Fraction) -> Fraction:
     return 100 / max(cut, base)
 
 
+def attainment_ratio(benefit: Fraction, ceiling: Fraction) -> Fraction:
+    """Exact attainment: a benefit index over its ceiling, times 100."""
+    return benefit / ceiling * 100
+
+
 def beni(optimized_rate, base_rate) -> float:
     """Benefit index: optimized response rate over base rate, times 100."""
     optimized = to_fraction(optimized_rate)

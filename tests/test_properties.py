@@ -283,6 +283,21 @@ def test_metrics_equal_slice_sum_references(records, policy):
         assert [b.responders for b in chart.buckets] == expected
 
 
+@given(records=pooled_score_records(need_responder=True),
+       policy=st.sampled_from(list(TiePolicy)), data=st.data())
+def test_profile_at_each_bucket_edge_equals_its_chart_row(records, policy, data):
+    size = len(records)
+    bucket_count = data.draw(st.sampled_from([b for b in range(1, size + 1) if size % b == 0]))
+    edges = tuple(CutOff(Fraction(i, bucket_count)) for i in range(1, bucket_count + 1))
+    ctx = EvaluationContext(sample=rank_sample(records, policy), bucket_count=bucket_count,
+                            cutoffs_of_interest=edges)
+    evaluation = evaluate_model(ctx, "m")
+    chart = evaluation.gains
+    assert [cut.fraction for cut in evaluation.beni_profile] == list(chart.row_cutoffs)
+    assert list(evaluation.beni_profile.values()) == list(zip(
+        chart.beni_cumulative, chart.beni_max_cumulative, chart.attainment_ratio))
+
+
 @given(records=pooled_score_records(min_size=2))
 def test_auc_equals_the_pairwise_count(records):
     assume(0 < sum(r.response for r in records) < len(records))
