@@ -177,7 +177,7 @@ def test_csv_reader_takes_each_meta_row_once_in_order(rate4_evaluation, edit):
 
 
 def test_importing_builds_no_report_schema():
-    # The converters and CSV sections are compiled on first use, not at import.
+    # The converters and CSV sections are built on first use, not at import.
     code = ("import scorepotential.report as r; "
             "assert r._codec.cache_info().currsize == r._sections.cache_info().currsize == 0")
     env = {**os.environ, "PYTHONPATH": str(Path(scorepotential.__file__).resolve().parents[1])}
