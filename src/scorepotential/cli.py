@@ -34,9 +34,11 @@ from .report import (
     to_json,
 )
 from .sample import CutOff, TiePolicy, rank_sample
-# The parse stage reads columns, never per-row records; it keeps the name
-# under which bench/tracing.py times the CLI's parse layer.
-from .sample_csv import read_sample_columns as parse_sample_csv, records_to_csv_text
+# The parse stage reads columns, never per-row records, and gen writes its
+# text in slices, never all at once; each keeps the name under which
+# bench/tracing.py times the CLI's parse or CSV-text layer.
+from .sample_csv import _write_csv as records_to_csv_text
+from .sample_csv import read_sample_columns as parse_sample_csv
 
 IO_ERROR_EXIT = 3
 
@@ -211,11 +213,11 @@ def _cmd_gen(args, parser: argparse.ArgumentParser, out) -> int:
         columns = generate_sample(args.size, args.rate, args.quality, args.seed)
     except ValueError as err:
         parser.error(str(err))
-    text = records_to_csv_text(columns)
     if args.output is None:
-        out.write(text)
+        records_to_csv_text(columns, out)
     else:
-        args.output.write_text(text, encoding="utf-8")
+        with open(args.output, "w", encoding="utf-8") as handle:
+            records_to_csv_text(columns, handle)
     return 0
 
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import threading
 
 import pytest
 
@@ -317,3 +319,42 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     malformed = tmp_path / "malformed.csv"
     malformed.write_text("id,score,response\nx,1_0,1\n", encoding="utf-8")
     assert run("evaluate", str(malformed)).returncode == 21
+
+
+@pytest.mark.parametrize("row, line", [
+    (b"b\xff,2.0,1\n", "line 3: not valid UTF-8"),
+    (b"x" * 140_000 + b",2.0,1\n", "line 3: field larger than field limit"),
+], ids=["undecodable", "over_long"])
+def test_unreadable_rows_exit_21_naming_their_line(tmp_path, capsys, row, line):
+    sample = tmp_path / "bad.csv"
+    sample.write_bytes(b"id,score,response\na,1.0,0\n" + row)
+    code, _ = run_cli("evaluate", str(sample))
+    assert code == 21
+    assert line in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_a_named_pipe_is_read_once_and_evaluated_as_a_file(tmp_path):
+    # The space in an id sends the read to the strict reader.
+    text = "id,score,response\na,1.0,0\nc d,2.0,1\nb,3.0,0\n"
+    argv = ["evaluate", "--buckets", "1", "--cutoffs", "1", "--format", "json"]
+    (tmp_path / "file").mkdir()
+    (tmp_path / "pipe").mkdir()
+    regular = tmp_path / "file" / "m.csv"
+    regular.write_text(text, encoding="utf-8")
+    fifo = tmp_path / "pipe" / "m.csv"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "w", encoding="utf-8") as handle:
+            handle.write(text)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        piped = run_cli(*argv, str(fifo))
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert piped == run_cli(*argv, str(regular))
+    assert piped[0] == 0

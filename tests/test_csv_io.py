@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -11,11 +13,13 @@ from scorepotential import (
     EmptySample,
     MalformedRow,
     ScoredRecord,
+    generate_sample,
     parse_sample_csv,
     read_sample_columns,
     records_to_csv_text,
     write_sample_csv,
 )
+from scorepotential import sample_csv
 from tests.conftest import ten_name_records
 
 
@@ -151,3 +155,91 @@ def test_columns_hold_what_the_records_hold(tmp_path):
     assert list(columns.ids) == [r.id for r in ten_name_records()]
     assert columns.scores.dtype == np.float64 and columns.responses.dtype == np.bool_
     assert columns.records() == parse_sample_csv(path)
+
+
+def _write_bytes(tmp_path, data: bytes):
+    path = tmp_path / "sample.csv"
+    path.write_bytes(data)
+    return path
+
+
+def test_undecodable_byte_is_a_malformed_row_at_its_line(tmp_path):
+    path = _write_bytes(tmp_path, b"id,score,response\na,1.0,0\nb\xff,2.0,1\nc,3.0,0\n")
+    with pytest.raises(MalformedRow) as excinfo:
+        parse_sample_csv(path)
+    assert excinfo.value.line_no == 3
+    assert excinfo.value.exit_code == 21
+    assert "UTF-8" in excinfo.value.reason
+
+
+def test_undecodable_byte_after_an_earlier_error_is_not_reported_first(tmp_path):
+    # The decoder reads ahead in chunks; the bad response on line 2 still wins.
+    path = _write_bytes(tmp_path, b"id,score,response\na,1.0,2\nb\xff,2.0,1\n")
+    with pytest.raises(BadResponseValue) as excinfo:
+        parse_sample_csv(path)
+    assert excinfo.value.line_no == 2
+
+
+def test_field_over_the_csv_limit_is_a_malformed_row_at_its_line(tmp_path):
+    long_id = "x" * 140_000
+    path = _write(tmp_path, f"id,score,response\na,1.0,0\n{long_id},2.0,1\n")
+    with pytest.raises(MalformedRow) as excinfo:
+        parse_sample_csv(path)
+    assert excinfo.value.line_no == 3
+    assert "field limit" in excinfo.value.reason
+
+    path = _write(tmp_path, f"id,score,response\na,1.0,0\na,1.0,0\n{long_id},2.0,1\n")
+    with pytest.raises(DuplicateId):
+        parse_sample_csv(path)
+
+
+def test_a_defect_after_the_first_block_is_reported_at_its_own_line(tmp_path, monkeypatch):
+    monkeypatch.setattr(sample_csv, "BLOCK_BYTES", 40)
+    lines = [f"r{i:03d},0.{i:03d},{i % 2}\n" for i in range(60)]
+    lines[44] = "r044,0.044,yes\n"
+    path = _write(tmp_path, "id,score,response\n" + "".join(lines))
+    with pytest.raises(BadResponseValue) as excinfo:
+        read_sample_columns(path)
+    assert excinfo.value.line_no == 46
+
+
+@pytest.mark.parametrize("block_bytes", [1, 16, 64, sample_csv.BLOCK_BYTES])
+def test_block_reader_takes_a_plain_file_as_the_strict_reader_does(tmp_path, monkeypatch,
+                                                                  block_bytes):
+    monkeypatch.setattr(sample_csv, "BLOCK_BYTES", block_bytes)
+    path = tmp_path / "gen.csv"
+    write_sample_csv(generate_sample(300, 0.1, 0.5, 11), path)
+    with open(path, "rb") as handle:
+        fast = sample_csv._read_plain(handle)
+        handle.seek(0)
+        strict = sample_csv._read_strict(handle)
+    assert fast is not None
+    assert fast.ids == strict.ids
+    assert fast.scores.view(np.int64).tolist() == strict.scores.view(np.int64).tolist()
+    assert fast.responses.tolist() == strict.responses.tolist()
+
+
+@pytest.mark.parametrize("text", [
+    "id,score,response\na,1.0,0",          # no final newline
+    "id,score,response\na,1.0,0\nb",       # ... after a last line without commas
+    "id,score,response\r\na,1.0,0\r\n",    # CR
+    "id,score,response\n\"a\",1.0,0\n",    # a quote
+    "id,score,response\na b,1.0,0\n",      # a space
+    "id,score,response\né,1.0,0\n",        # non-ASCII
+    "id,score,response\na,1.0,0\n\n",      # a blank line
+    "id, score,response\na,1.0,0\n",       # a header the strict reader strips
+    "id,score,response\n",                 # no record
+])
+def test_block_reader_defers_what_it_does_not_take(tmp_path, text):
+    path = _write(tmp_path, text)
+    with open(path, "rb") as handle:
+        assert sample_csv._read_plain(handle) is None
+
+
+def test_block_reader_defers_a_line_over_the_csv_limit(tmp_path):
+    limit = csv.field_size_limit()
+    path = _write(tmp_path, f"id,score,response\n{'x' * (limit - 4)},1.0,0\n")
+    with open(path, "rb") as handle:
+        assert sample_csv._read_plain(handle) is None
+    # The strict reader takes it: the id itself is inside the limit.
+    assert len(parse_sample_csv(path)) == 1

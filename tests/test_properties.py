@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import math
+import random
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
 from scorepotential import (
@@ -15,6 +19,7 @@ from scorepotential import (
     SampleColumns,
     ScoredRecord,
     TiePolicy,
+    ToolkitError,
     auc_crosscheck,
     beni_at_cutoff,
     build_gains_chart,
@@ -30,6 +35,7 @@ from scorepotential import (
     rank_sample,
     records_to_csv_text,
     render_combined_chart,
+    sample_csv,
 )
 from tests.conftest import (
     pairwise_auc,
@@ -370,3 +376,94 @@ def test_columnar_generator_matches_the_reference_loop(size, rate, quality, seed
     expected = reference_generate_sample(size, rate, quality, seed)
     assert columns.records() == generate_sample(size, rate, quality, seed) == expected
     assert records_to_csv_text(columns) == reference_csv_text(expected)
+
+
+@given(records=writable_records(), slice_rows=st.integers(1, 8))
+def test_csv_slices_join_to_the_reference_text(records, slice_rows):
+    with mock.patch.object(sample_csv, "SLICE_ROWS", slice_rows):
+        text = records_to_csv_text(records)
+        out = io.StringIO()
+        sample_csv._write_csv(records, out)
+    assert text == out.getvalue() == reference_csv_text(records)
+
+
+PLAIN_ID_CHARS = "abcxyzABC0129._-+!#/:;~"
+SCORE_TEXTS = ["0", "1", "-0", ".5", "5.", "1e5", "1E-3", "+2", "-1.25e-300", "1e308"]
+# A mutation inserts one of these pieces, deletes or duplicates a byte or a
+# line, cuts the file short, or replaces a cell with one of BAD_CELLS.
+MUTATION_PIECES = [b" ", b"\t", b'"', b"\r", b",", b"\n", b"_", b"\x00", b"\xff",
+                   "é".encode(), b"e", b".", b"-", b"nan", b"inf"]
+# Per column (id, score, response), cells that each break one rule.
+BAD_CELLS = ([b"", b"a b", b"\xe9"],
+             [b"", b"1_0", b"nan", b"-inf", b"1e999", b"0x1", b"1 "],
+             [b"", b"2", b"e", b"00", b"-1", b" 1"])
+
+
+def mutated(lines: list[bytes], rng: random.Random) -> bytes:
+    """The file of these lines after one to three mutations drawn from rng."""
+    lines = list(lines)
+    for _ in range(rng.choice([1, 1, 2, 3])):
+        action = rng.choice(["cell", "cell", "insert", "delete", "duplicate", "cut"])
+        if action == "cell" and len(lines) > 1:
+            at = rng.randrange(1, len(lines))
+            cells = lines[at].rstrip(b"\n").split(b",")
+            column = rng.randrange(min(len(cells), 3))
+            cells[column] = rng.choice(BAD_CELLS[column])
+            lines[at] = b",".join(cells) + b"\n"
+        elif action in ("insert", "delete", "duplicate") and rng.random() < 0.5:  # a line
+            at = rng.randrange(len(lines) + (action == "insert"))
+            if action == "insert":
+                lines.insert(at, rng.choice(MUTATION_PIECES) + b"\n")
+            elif action == "delete":
+                del lines[at]
+            else:
+                lines.insert(at, lines[at])
+            lines = lines or [b""]
+        else:
+            data = b"".join(lines)
+            at = rng.randrange(len(data) + 1)
+            if action == "insert":
+                data = data[:at] + rng.choice(MUTATION_PIECES) + data[at:]
+            elif action == "delete":
+                data = data[:at] + data[at + 1:]
+            elif action == "duplicate":
+                data = data[:at + 1] + data[at:]
+            else:
+                data = data[:at]
+            lines = data.splitlines(keepends=True) or [b""]
+    return b"".join(lines)
+
+
+def assert_block_reader_agrees(data: bytes, must_take: bool = False) -> None:
+    """The block reader defers, or returns the strict reader's columns bit for bit."""
+    fast = sample_csv._read_plain(io.BytesIO(data))
+    try:
+        strict = sample_csv._read_strict(io.BytesIO(data))
+    except ToolkitError:
+        assert fast is None, data
+        return
+    assert fast is not None or not must_take, data
+    if fast is not None:
+        assert fast.ids == strict.ids
+        assert fast.scores.view(np.int64).tolist() == strict.scores.view(np.int64).tolist()
+        assert fast.responses.tolist() == strict.responses.tolist()
+
+
+@given(rows=st.lists(
+           st.tuples(st.text(PLAIN_ID_CHARS, min_size=1, max_size=5),
+                     st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                               st.sampled_from(SCORE_TEXTS)),
+                     st.sampled_from(["0", "1"])),
+           max_size=12, unique_by=lambda row: row[0]),
+       seed=st.integers(0, 2**32 - 1), block_bytes=st.integers(1, 48))
+@settings(max_examples=150)
+def test_block_reader_returns_the_strict_columns_or_defers(rows, seed, block_bytes):
+    # The mutations come from a seeded random.Random, so that their places are
+    # uniform (Hypothesis's own draws favour small values: here, the header),
+    # and each plain file is mutated many times over.
+    lines = [b"id,score,response\n"] + [",".join(row).encode() + b"\n" for row in rows]
+    rng = random.Random(seed)
+    with mock.patch.object(sample_csv, "BLOCK_BYTES", block_bytes):
+        assert_block_reader_agrees(b"".join(lines), must_take=bool(rows))
+        for _ in range(20):
+            assert_block_reader_agrees(mutated(lines, rng))
