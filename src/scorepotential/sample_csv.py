@@ -20,7 +20,7 @@ from .errors import BadResponseValue, DuplicateId, EmptySample, MalformedRow
 from .sample import SampleColumns, ScoredRecord
 
 HEADER = ["id", "score", "response"]
-_HEADER_LINE = b"id,score,response\n"
+_HEADER_LINE = ",".join(HEADER) + "\n"
 
 # The fast reader takes a file in blocks of about this many bytes, each
 # extended to end on a whole line.
@@ -29,7 +29,7 @@ BLOCK_BYTES = 1 << 16
 # and the newline.  Any other byte (a quote, CR, tab, space, control or
 # non-ASCII byte) sends the file to the strict reader.
 _PLAIN = bytes(range(0x21, 0x7F)).replace(b'"', b"") + b"\n"
-# gen formats and writes this many rows at a time.
+# The CSV writer formats this many rows at a time.
 SLICE_ROWS = 1 << 16
 
 
@@ -58,7 +58,7 @@ def _read_plain(handle) -> SampleColumns | None:
     or repeated id, a line longer than the csv field limit, no record, or
     no final newline.  Whatever this returns, the strict reader returns too.
     """
-    if handle.readline(len(_HEADER_LINE)) != _HEADER_LINE:
+    if handle.readline(len(_HEADER_LINE)) != _HEADER_LINE.encode():
         return None
     limit = csv.field_size_limit()
     ids: list[str] = []
@@ -173,7 +173,7 @@ def _csv_slices(sample: SampleColumns | Iterable[ScoredRecord]) -> Iterator[str]
     then csv.writer writes its rows, so the bytes are csv.writer's either way.
     """
     columns = sample if isinstance(sample, SampleColumns) else SampleColumns.from_records(sample)
-    yield ",".join(HEADER) + "\n"
+    yield _HEADER_LINE
     for start in range(0, len(columns), SLICE_ROWS):
         rows = slice(start, start + SLICE_ROWS)
         ids = columns.ids[rows]

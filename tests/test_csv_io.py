@@ -203,7 +203,7 @@ def test_a_defect_after_the_first_block_is_reported_at_its_own_line(tmp_path, mo
     assert excinfo.value.line_no == 46
 
 
-@pytest.mark.parametrize("block_bytes", [1, 16, 64, sample_csv.BLOCK_BYTES])
+@pytest.mark.parametrize("block_bytes", [1, sample_csv.BLOCK_BYTES])
 def test_block_reader_takes_a_plain_file_as_the_strict_reader_does(tmp_path, monkeypatch,
                                                                   block_bytes):
     monkeypatch.setattr(sample_csv, "BLOCK_BYTES", block_bytes)
