@@ -67,7 +67,7 @@ def rate_percent(value: Fraction) -> str:
 def money_str(value: Fraction) -> str:
     """Decimal rendering of an exact money amount, half-up at two places."""
     dec = Decimal(value.numerator) / Decimal(value.denominator)
-    dec = dec.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP)
+    dec = dec.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP) or Decimal(0)  # no "-0"
     text = format(dec, "f")
     if "." in text:
         text = text.rstrip("0").rstrip(".")

@@ -27,7 +27,7 @@ _HEADER_LINE = ",".join(HEADER) + "\n"
 BLOCK_BYTES = 1 << 16
 # Bytes the fast reader takes: printable ASCII other than space and '"',
 # and the newline.  Any other byte (a quote, CR, tab, space, control or
-# non-ASCII byte) sends the file to the strict reader.
+# non-ASCII byte) leaves its block and the rest to the strict reader.
 _PLAIN = bytes(range(0x21, 0x7F)).replace(b'"', b"") + b"\n"
 # The CSV writer formats this many rows at a time.
 SLICE_ROWS = 1 << 16
@@ -36,39 +36,40 @@ SLICE_ROWS = 1 << 16
 def read_sample_columns(path) -> SampleColumns:
     """Read a sample CSV straight into columns, validating the full contract.
 
-    A seekable file of plain lines is read by the fast block reader; on any
-    doubt it is read again from the start by the strict reader, which alone
-    decides what is wrong with a file.  A pipe is read once, strictly.
+    The file is read once: the block reader takes the plain lines at the head
+    of a seekable file, and the strict reader, which alone judges bad input,
+    reads on from the first block not taken (a pipe, from the start).
     """
-    with open(path, "rb") as handle:
-        if handle.seekable():
-            columns = _read_plain(handle)
-            if columns is not None:
-                return columns
-            handle.seek(0)
-        return _read_strict(handle)
-
-
-def _read_plain(handle) -> SampleColumns | None:
-    """Columns of a file of plain 'id,score,response' lines, or None.
-
-    None means the file holds something the strict reader must judge: a
-    byte outside _PLAIN, a line without exactly two commas, a score that
-    is not a finite '_'-free float, a response other than 0 or 1, an empty
-    or repeated id, a line longer than the csv field limit, no record, or
-    no final newline.  Whatever this returns, the strict reader returns too.
-    """
-    if handle.readline(len(_HEADER_LINE)) != _HEADER_LINE.encode():
-        return None
-    limit = csv.field_size_limit()
     ids: list[str] = []
     seen: set[str] = set()
-    scores = array("d")
+    scores = array("d")  # raw doubles and bytes: no Python object per value
     responses = bytearray()
+    with open(path, "rb") as handle:
+        taken = _read_plain(handle, ids, seen, scores, responses) if handle.seekable() else 0
+        _read_strict(handle, ids, seen, scores, responses, taken)
+    if not ids:
+        raise EmptySample()
+    return SampleColumns(ids, np.frombuffer(scores), np.frombuffer(responses, dtype=np.bool_))
+
+
+def _read_plain(handle, ids, seen, scores, responses) -> int:
+    """Append the plain lines at the file's head, block by block; return how many.
+
+    The count includes the header.  The reader stops at the first block that
+    holds something for the strict reader to judge: a byte outside _PLAIN, a
+    line without exactly two commas, a score that is not a finite '_'-free
+    float, a response other than 0 or 1, an empty or repeated id, a line over
+    the csv field limit, or no final newline; it leaves the handle at its start.
+    """
+    if handle.readline(len(_HEADER_LINE)) != _HEADER_LINE.encode():
+        handle.seek(0)
+        return 0
+    limit = csv.field_size_limit()
+    taken = 1
     while block := handle.read(BLOCK_BYTES):
         block += handle.readline(limit)
         if not block.endswith(b"\n") or block.translate(None, _PLAIN):
-            return None
+            break
         codes = np.frombuffer(block, dtype=np.uint8)
         newlines = np.flatnonzero(codes == ord("\n"))
         commas = np.flatnonzero(codes == ord(","))
@@ -78,42 +79,44 @@ def _read_plain(handle) -> SampleColumns | None:
         flags = codes[newlines - 1] - ord("0")
         if (len(commas) != 2 * len(newlines) or (newlines - commas[1::2] != 2).any()
                 or (flags > 1).any() or np.diff(newlines, prepend=-1).max() > limit + 1):
-            return None
+            break
         fields = block.decode("ascii").replace("\n", ",").split(",")
         block_ids = fields[0:-1:3]
         score_texts = fields[1::3]
         if not all(block_ids) or "_" in "".join(score_texts):
-            return None
-        ids += block_ids
-        seen.update(block_ids)
-        if len(seen) != len(ids):
-            return None
+            break
         try:
-            scores.extend(map(float, score_texts))
+            block_scores = array("d", map(float, score_texts))
         except ValueError:
-            return None
+            break
+        seen.update(block_ids)
+        if (len(seen) != len(ids) + len(block_ids)
+                or not np.isfinite(np.frombuffer(block_scores)).all()):
+            seen.intersection_update(ids)  # drops the block's ids
+            break
+        ids += block_ids
+        scores += block_scores
         responses += flags.tobytes()
-    values = np.frombuffer(scores, dtype=np.float64)
-    if not ids or not np.isfinite(values).all():
-        return None
-    return SampleColumns(ids, values, np.frombuffer(responses, dtype=np.bool_))
+        taken += len(block_ids)
+    handle.seek(-len(block), io.SEEK_CUR)  # block is b"" at the end of the file
+    return taken
 
 
-def _read_strict(handle) -> SampleColumns:
-    """Read a binary handle row by row; raise on the first error in file order."""
-    ids: list[str] = []
-    scores = array("d")  # raw doubles and bytes: no Python object per value
-    responses = bytearray()
-    seen: set[str] = set()
-    header_read = False
+def _read_strict(handle, ids, seen, scores, responses, taken: int) -> None:
+    """Append the rows after the first `taken` lines (the header among them if any).
+
+    Raises on the first error in file order, at the file line its row ends on.
+    """
+    header_read = taken > 0
     # Undecodable bytes are kept as lone surrogates, so that they are reported
     # at their own row, not where the decoder's chunk happens to start.
     text = io.TextIOWrapper(handle, encoding="utf-8", errors="surrogateescape", newline="")
-    line_no = 0
+    reader = csv.reader(text)
     try:
-        for line_no, row in enumerate(csv.reader(text), start=1):
+        for row in reader:
             if not row:
                 continue
+            line_no = taken + reader.line_num
             joined = "".join(row)
             if not joined.isascii():
                 try:
@@ -152,11 +155,7 @@ def _read_strict(handle) -> SampleColumns:
             scores.append(score)
             responses.append(response_text == "1")
     except csv.Error as err:  # a field over csv.field_size_limit()
-        raise MalformedRow(line_no + 1, str(err)) from None
-    if not ids:
-        raise EmptySample()
-    return SampleColumns(ids, np.frombuffer(scores, dtype=np.float64),
-                         np.frombuffer(responses, dtype=np.bool_))
+        raise MalformedRow(taken + reader.line_num, str(err)) from None
 
 
 def parse_sample_csv(path) -> list[ScoredRecord]:

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import csv
 import io
+from array import array
 
 import numpy as np
 import pytest
 
-from scorepotential import ScoredRecord, TiePolicy, rank_sample
+from scorepotential import ScoredRecord, TiePolicy, ToolkitError, rank_sample, sample_csv
 from scorepotential.rounding import round_half_up, to_fraction
 
 # Score/response pairs of the ten-name worked sample: three responders whose
@@ -128,6 +129,23 @@ def reference_csv_text(records) -> str:
     for record in records:
         writer.writerow([record.id, repr(record.score), record.response])
     return out.getvalue()
+
+
+def read_csv_bytes(data: bytes, block_reader: bool = True):
+    """(lines the block reader took, outcome) of the sample CSV readers on data.
+
+    The block reader takes what it can, unless block_reader is False, and the
+    strict reader reads on from there, as in read_sample_columns.  The outcome
+    is the ids, score bytes and response bytes, or the error's class and text.
+    """
+    ids, seen, scores, responses = [], set(), array("d"), bytearray()
+    handle = io.BytesIO(data)
+    taken = sample_csv._read_plain(handle, ids, seen, scores, responses) if block_reader else 0
+    try:
+        sample_csv._read_strict(handle, ids, seen, scores, responses, taken)
+    except ToolkitError as err:
+        return taken, (type(err), str(err))
+    return taken, (ids, scores.tobytes(), bytes(responses))
 
 
 def reference_generate_sample(size, base_rate, quality, seed) -> list[ScoredRecord]:

@@ -333,6 +333,14 @@ def test_unreadable_rows_exit_21_naming_their_line(tmp_path, capsys, row, line):
     assert line in capsys.readouterr().err
 
 
+def test_a_row_after_a_multi_line_record_is_named_by_its_file_line(tmp_path, capsys):
+    sample = tmp_path / "bad.csv"
+    sample.write_text('id,score,response\n"a\nb",1.0,0\nc,x,0\n', encoding="utf-8")
+    code, _ = run_cli("evaluate", str(sample))
+    assert code == 21
+    assert "error: line 4: score 'x' is not a number" in capsys.readouterr().err
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_a_named_pipe_is_read_once_and_evaluated_as_a_file(tmp_path):
     # The space in an id sends the read to the strict reader.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+from array import array
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from scorepotential import (
     write_sample_csv,
 )
 from scorepotential import sample_csv
-from tests.conftest import ten_name_records
+from tests.conftest import read_csv_bytes, ten_name_records
 
 
 def _write(tmp_path, text):
@@ -203,20 +204,52 @@ def test_a_defect_after_the_first_block_is_reported_at_its_own_line(tmp_path, mo
     assert excinfo.value.line_no == 46
 
 
+def test_rows_are_named_by_the_file_line_they_end_on(tmp_path):
+    path = _write(tmp_path, 'id,score,response\n"a\nb",1.0,0\nc,x,0\n')
+    with pytest.raises(MalformedRow, match=r"^line 4: score 'x' is not a number$"):
+        read_sample_columns(path)
+    path = _write(tmp_path, 'id,score,response\n"a\nb",x,0\n')
+    with pytest.raises(MalformedRow, match=r"^line 3: "):
+        read_sample_columns(path)
+
+
+def test_a_file_that_turns_strict_late_is_read_once(tmp_path, monkeypatch):
+    monkeypatch.setattr(sample_csv, "BLOCK_BYTES", 40)
+    lines = ["id,score,response\n"] + [f"r{i:03d},0.{i:03d},{i % 2}\n" for i in range(59)]
+    lines[44] = "r 043,0.043,1\n"  # line 45: a space, for the strict reader
+    path = _write(tmp_path, "".join(lines))
+    entries = []
+    read_strict = sample_csv._read_strict
+
+    def spy(handle, *columns_and_taken):
+        entries.append((columns_and_taken[-1], handle.tell()))
+        read_strict(handle, *columns_and_taken)
+
+    monkeypatch.setattr(sample_csv, "_read_strict", spy)
+    columns = read_sample_columns(path)
+    [(taken, offset)] = entries
+    assert 1 < taken < 45 and offset == len("".join(lines[:taken]))
+    outcome = (columns.ids, columns.scores.tobytes(), columns.responses.tobytes())
+    assert outcome == read_csv_bytes(path.read_bytes(), block_reader=False)[1]
+
+
 @pytest.mark.parametrize("block_bytes", [1, sample_csv.BLOCK_BYTES])
 def test_block_reader_takes_a_plain_file_as_the_strict_reader_does(tmp_path, monkeypatch,
                                                                   block_bytes):
     monkeypatch.setattr(sample_csv, "BLOCK_BYTES", block_bytes)
     path = tmp_path / "gen.csv"
     write_sample_csv(generate_sample(300, 0.1, 0.5, 11), path)
+    data = path.read_bytes()
+    assert read_csv_bytes(data) == (301, read_csv_bytes(data, block_reader=False)[1])
+
+
+def assert_block_reader_defers(path) -> None:
+    """It takes no line past the header, so the strict reader starts at line 1 or 2."""
+    columns = ([], set(), array("d"), bytearray())
     with open(path, "rb") as handle:
-        fast = sample_csv._read_plain(handle)
-        handle.seek(0)
-        strict = sample_csv._read_strict(handle)
-    assert fast is not None
-    assert fast.ids == strict.ids
-    assert fast.scores.view(np.int64).tolist() == strict.scores.view(np.int64).tolist()
-    assert fast.responses.tolist() == strict.responses.tolist()
+        taken = sample_csv._read_plain(handle, *columns)
+        assert (taken, handle.tell()) in [(0, 0), (1, len("id,score,response\n"))]
+    assert not any(columns)
 
 
 @pytest.mark.parametrize("text", [
@@ -231,15 +264,12 @@ def test_block_reader_takes_a_plain_file_as_the_strict_reader_does(tmp_path, mon
     "id,score,response\n",                 # no record
 ])
 def test_block_reader_defers_what_it_does_not_take(tmp_path, text):
-    path = _write(tmp_path, text)
-    with open(path, "rb") as handle:
-        assert sample_csv._read_plain(handle) is None
+    assert_block_reader_defers(_write(tmp_path, text))
 
 
 def test_block_reader_defers_a_line_over_the_csv_limit(tmp_path):
     limit = csv.field_size_limit()
     path = _write(tmp_path, f"id,score,response\n{'x' * (limit - 4)},1.0,0\n")
-    with open(path, "rb") as handle:
-        assert sample_csv._read_plain(handle) is None
+    assert_block_reader_defers(path)
     # The strict reader takes it: the id itself is inside the limit.
     assert len(parse_sample_csv(path)) == 1

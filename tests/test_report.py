@@ -241,6 +241,14 @@ def test_money_rendering():
     assert money_str(Fraction(1000, 3)) == "333.33"
 
 
+def test_an_amount_that_rounds_to_zero_prints_without_a_sign():
+    assert money_str(Fraction(-1, 1001)) == money_str(Fraction(1, 1001)) == "0"
+    assert money_str(Fraction(-1, 200)) == "-0.01"
+    # The spreading loss here is 1000/1001 - 1 = -1/1001.
+    text = render_economics_text(CampaignEconomics(1, 1001, 1))
+    assert text.splitlines()[-1].endswith(": 1 - 1 = 0")
+
+
 def test_economics_text_block():
     econ = CampaignEconomics(50_000, 100_000, 4_000)
     text = render_economics_text(econ)
