@@ -14,6 +14,7 @@ import hashlib
 import io
 import json
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,7 @@ from scorepotential import (
     ScoredRecord,
     evaluate_model,
     evaluation_from_csv,
+    generate_columns,
     rank_sample,
     records_to_csv_text,
     render_combined_chart,
@@ -67,6 +69,13 @@ CASES = {
     "econ_rate4.json": ["econ", "--format", "json", *RATE4_ECONOMICS],
     "econ_no_responders.txt": ["econ", *NO_RESPONDER_ECONOMICS],
     "econ_no_responders.json": ["econ", "--format", "json", *NO_RESPONDER_ECONOMICS],
+    # A tied, fine-grained chart: 50 buckets of 4 names over scores rounded
+    # to 0.1, with cut-offs off the deciles (12.25% selects 24.5 names).
+    **{f"evaluate_tied200_b50.{ext}":
+       ["evaluate", "tied200", "--buckets", "50", "--ties", "pessimistic",
+        "--cutoffs", "3%,7.5%,12.25%,1/3,66.6%,99%", *fmt]
+       for ext, fmt in (("json", ["--format", "json"]), ("csv", ["--format", "csv"]),
+                        ("txt", []))},
     "gen_37_rate4.csv":
         ["gen", "--size", "37", "--rate", "0.04", "--quality", "0.6", "--seed", "7"],
     "gen_1000_rate4.csv":
@@ -85,7 +94,10 @@ def samples() -> dict[str, list[ScoredRecord]]:
     # Every name responds and scores come in groups of three, so both
     # degeneracy flags (all_responders, ties_present) are raised.
     all_responders = [ScoredRecord(f"t{i:02d}", float(i // 3), 1) for i in range(20)]
+    # 200 names, 20 responders, about 20 distinct scores.
+    tied = generate_columns(200, Fraction(1, 10), 0.5, 11).records()
     return {
+        "tied200": [ScoredRecord(r.id, round(r.score, 1), r.response) for r in tied],
         "rate4": bucketed_records(RATE4_DECILE_RESPONDERS, 10),
         "rate8": bucketed_records(RATE8_DECILE_RESPONDERS, 10),
         "all_responders": all_responders,
