@@ -10,14 +10,7 @@ import numpy as np
 
 from .errors import EmptyBatch, ToolkitError
 from .gains import GainsChart, build_gains_chart
-from .metrics import (
-    attainment_ratio,
-    benefit_ratio,
-    beni_at_cutoff,
-    beni_ceiling,
-    pop_exact,
-    selection_count,
-)
+from .metrics import beni_at_cutoff, ceiling_and_attainment, pop_exact, selection_count
 from .rounding import round_half_up, to_fraction
 from .sample import CutOff, RankedSample, SampleColumns, ScoredRecord
 
@@ -88,13 +81,12 @@ def evaluate_model(ctx: EvaluationContext, model_id: str) -> ModelEvaluation:
         exact = pop_exact(sample)
         chart = build_gains_chart(sample, ctx.bucket_count)
         profile = {}
-        rate = sample.response_rate_r
+        size, k = sample.size_x, sample.responders_k
         for cut in ctx.cutoffs_of_interest:
-            value = beni_at_cutoff(sample, cut)
-            n = selection_count(sample.size_x, cut)  # the pass set of beni_at_cutoff
-            benefit = benefit_ratio(Fraction(int(sample.top_responders[n]), n), rate)
-            ceiling = beni_ceiling(cut.fraction, rate)
-            profile[cut] = BeniPoint(value, float(ceiling), float(attainment_ratio(benefit, ceiling)))
+            value = beni_at_cutoff(sample, cut)  # raises first on an empty pass set
+            n = selection_count(size, cut)
+            profile[cut] = BeniPoint(value, *ceiling_and_attainment(
+                int(sample.top_responders[n]), n, *cut.fraction.as_integer_ratio(), k, size))
     except ToolkitError as err:
         err.model_id = model_id
         raise

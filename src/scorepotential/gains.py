@@ -4,9 +4,9 @@ Ranks are rescaled to bucket units (rank * #B/#X), so positions run from
 just above 0 to #B.  Per bucket the responder rank sum is bracketed by the
 descending arithmetic row from the bucket top (max) and the ascending row
 from its bottom (min); the average of the two is the default approximation.
-All column arithmetic is carried out on exact rationals and converted to
-float only when stored, so printed tables reproduce the classic worked
-values digit for digit.
+Every column is a ratio of two Python ints (rank sums are held as #X times
+their value in bucket units), rounded once when it is stored, so printed
+tables reproduce the classic worked values digit for digit.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import IndivisibleBuckets, NoResponders
-from .metrics import arithmetic_row, attainment_ratio, beni_ceiling, benefit_ratio
+from .metrics import benefit_index, ceiling_and_attainment, rank_sum_bounds
 from .rounding import to_fraction
 from .sample import RankedSample
 
@@ -66,19 +66,23 @@ class GainsChart:
                 raise ValueError(f"{name} must have bucket_count ({self.bucket_count}) entries")
 
 
-def p_up_max_bucket(bucket_no: int, responders: int, spacing) -> float:
-    """Bucket rank sum if all responders sit at the bucket top (descending row)."""
+def _bucket_bounds(bucket_no: int, responders: int, spacing) -> tuple[float, float]:
+    """P-up max and min of a bucket (rank_sum_bounds) at any spacing."""
     if bucket_no < 1 or responders < 0:
         raise ValueError("bucket_no must be >= 1 and responders >= 0")
-    return float(arithmetic_row(bucket_no, -to_fraction(spacing), responders))
+    units, scale = to_fraction(spacing).as_integer_ratio()
+    top, bottom = rank_sum_bounds(bucket_no, responders, units, scale)
+    return top / scale, bottom / scale
+
+
+def p_up_max_bucket(bucket_no: int, responders: int, spacing) -> float:
+    """Bucket rank sum if all responders sit at the bucket top (descending row)."""
+    return _bucket_bounds(bucket_no, responders, spacing)[0]
 
 
 def p_up_min_bucket(bucket_no: int, responders: int, spacing) -> float:
     """Bucket rank sum if all responders sit at the bucket bottom (ascending row)."""
-    if bucket_no < 1 or responders < 0:
-        raise ValueError("bucket_no must be >= 1 and responders >= 0")
-    s = to_fraction(spacing)
-    return float(arithmetic_row(bucket_no - 1 + s, s, responders))
+    return _bucket_bounds(bucket_no, responders, spacing)[1]
 
 
 def p_up_avg_bucket(max_value: float, min_value: float) -> float:
@@ -96,7 +100,8 @@ def pop_denominator_chart(bucket_count: int, responders_k: int, spacing) -> floa
     """
     if responders_k < 1:
         raise NoResponders()
-    return float(arithmetic_row(bucket_count, -to_fraction(spacing), responders_k))
+    units, scale = to_fraction(spacing).as_integer_ratio()
+    return rank_sum_bounds(bucket_count, responders_k, units, scale)[0] / scale
 
 
 def build_gains_chart(sample: RankedSample, bucket_count: int) -> GainsChart:
@@ -109,10 +114,8 @@ def build_gains_chart(sample: RankedSample, bucket_count: int) -> GainsChart:
         raise NoResponders()
 
     names_per_bucket = size // bucket_count
-    spacing = Fraction(bucket_count, size)
-    down_step = -spacing  # the step of the descending rows (bucket tops, P-down)
-    base_rate = sample.response_rate_r
-    p_down = arithmetic_row(bucket_count, down_step, k)
+    # Rank sums are kept as size times their value in bucket units: ints.
+    p_down = rank_sum_bounds(bucket_count, k, bucket_count, size)[0]
 
     # Responders per bucket, walking buckets top-down (highest scores first).
     responder_counts = np.diff(sample.top_responders[::names_per_bucket]).tolist()
@@ -122,52 +125,37 @@ def build_gains_chart(sample: RankedSample, bucket_count: int) -> GainsChart:
     beni_max_cum = []
     attainment = []
     pop_cum = []
-    row_cutoffs = []
-    sum_avg = Fraction(0)
-    sum_max = Fraction(0)
-    sum_min = Fraction(0)
-    cum_resp = 0
-    cum_names = 0
+    sum_max = sum_min = cum_resp = cum_names = 0
     for row, resp in enumerate(responder_counts):
         bno = bucket_count - row
         cum_resp += resp
         cum_names += names_per_bucket
-        if resp == 0:  # every marginal column is 0
-            marginal = (0.0, 0.0, 0.0, 0.0, 0.0)
-        else:
-            mx = arithmetic_row(bno, down_step, resp)
-            mn = arithmetic_row(bno - 1 + spacing, spacing, resp)
-            avg = (mx + mn) / 2
-            sum_max += mx
-            sum_min += mn
-            sum_avg += avg
-            beni_m = benefit_ratio(Fraction(resp, names_per_bucket), base_rate)
-            marginal = (float(mx), float(mn), float(avg), float(beni_m),
-                        float(avg / p_down * 100))
-
-        beni_c = benefit_ratio(Fraction(cum_resp, cum_names), base_rate)
-        row_cut = Fraction(cum_names, size)
-        ceiling = beni_ceiling(row_cut, base_rate)
-        buckets.append(Bucket(bno, names_per_bucket, resp, *marginal))
-        beni_cum.append(float(beni_c))
-        beni_max_cum.append(float(ceiling))
-        attainment.append(float(attainment_ratio(beni_c, ceiling)))
-        pop_cum.append(float(sum_avg / p_down * 100))
-        row_cutoffs.append(row_cut)
+        mx, mn = rank_sum_bounds(bno, resp, bucket_count, size)
+        sum_max += mx
+        sum_min += mn
+        buckets.append(Bucket(bno, names_per_bucket, resp, mx / size, mn / size,
+                              (mx + mn) / (2 * size),
+                              benefit_index(resp, names_per_bucket, k, size),
+                              100 * (mx + mn) / (2 * p_down)))
+        beni_cum.append(benefit_index(cum_resp, cum_names, k, size))
+        ceiling, attained = ceiling_and_attainment(cum_resp, cum_names, cum_names, size, k, size)
+        beni_max_cum.append(ceiling)
+        attainment.append(attained)
+        pop_cum.append(100 * (sum_max + sum_min) / (2 * p_down))
 
     return GainsChart(
         buckets=tuple(buckets),
         bucket_count=bucket_count,
         sample_size=size,
-        base_rate=base_rate,
-        spacing=spacing,
-        p_down_chart=float(p_down),
-        pop_approx=float(sum_avg / p_down * 100),
-        pop_min_variant=float(sum_min / p_down * 100),
-        pop_max_variant=float(sum_max / p_down * 100),
+        base_rate=sample.response_rate_r,
+        spacing=Fraction(bucket_count, size),
+        p_down_chart=p_down / size,
+        pop_approx=pop_cum[-1],
+        pop_min_variant=100 * sum_min / p_down,
+        pop_max_variant=100 * sum_max / p_down,
         beni_cumulative=tuple(beni_cum),
         beni_max_cumulative=tuple(beni_max_cum),
         attainment_ratio=tuple(attainment),
         pop_cumulative=tuple(pop_cum),
-        row_cutoffs=tuple(row_cutoffs),
+        row_cutoffs=tuple(Fraction(row, bucket_count) for row in range(1, bucket_count + 1)),
     )

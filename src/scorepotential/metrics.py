@@ -3,52 +3,50 @@
 The benefit index (BenI) is the pass-set response rate over the whole-sample
 rate, times 100; it depends on the chosen cut-off.  Score potential (PoP) is
 the sum of responder ranks over the best achievable such sum, times 100; it
-takes no cut-off at all.  Rates are treated as exact rationals so that the
-classic worked values (187.5, 250, 74.07...) come out bit-exact.
+takes no cut-off at all.  Each figure is a ratio of two Python ints, rounded
+once by the division, so the classic worked values (187.5, 250, 74.07...)
+come out bit-exact.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
-from .errors import (
-    CutoffTooSmall,
-    DegenerateClasses,
-    NoResponders,
-    ZeroBaseRate,
-)
+from .errors import CutoffTooSmall, DegenerateClasses, NoResponders, ZeroBaseRate
 from .rounding import round_half_up, to_fraction
 from .sample import CutOff, RankedSample
 
 
-def arithmetic_row(first, step, count: int):
-    """Sum of the count terms first, first + step, ...: first*count + step*count(count-1)/2.
+def rank_sum_bounds(top: int, count: int, units: int, scale: int) -> tuple[int, int]:
+    """scale times the greatest and the least sum of count ranks, as exact ints.
 
-    Exact on ints and Fractions.  The best rank sum (perfect_rank_sum), the
-    bucket rank-sum bounds and the chart's P-down are all such rows.
+    The ranks lie on the grid top - 1 + units/scale, ..., top: a bucket in
+    bucket units (units #B, scale #X) or a whole sample (top #X, units =
+    scale = 1).  The greatest sum descends from top, the least ascends from
+    the bottom.  The best rank sum, the bucket bounds P-up max and min and
+    the chart's P-down (the top bucket's max with all k responders) are these.
     """
-    return first * count + step * (count * (count - 1) // 2)
+    return (top * count * scale - units * (count * (count - 1) // 2),
+            (top - 1) * count * scale + units * (count * (count + 1) // 2))
 
 
-def benefit_ratio(optimized: Fraction, base: Fraction) -> Fraction:
-    """Exact benefit index: optimized response rate over base rate, times 100."""
-    return optimized / base * 100
+def benefit_index(hits: int, names: int, responders: int, size: int) -> float:
+    """BenI of a pass set of names with hits responders, in a sample of size
+    with responders: 100*(hits/names)/(responders/size), rounded once."""
+    return 100 * hits * size / (names * responders)
 
 
-def beni_ceiling(cut: Fraction, base: Fraction) -> Fraction:
-    """Exact benefit-index ceiling at a cut-off.
+def ceiling_and_attainment(hits: int, names: int, cut_num: int, cut_den: int,
+                           responders: int, size: int) -> tuple[float, float]:
+    """BenI ceiling at the cut-off cut_num/cut_den, and the pass set's
+    attainment (its benefit_index over the ceiling, times 100).
 
-    100/cut-off while the base rate is below the cut-off; once the pass set
-    could consist purely of responders the ceiling is 100/base-rate instead.
+    The ceiling is 100/cut-off while the base rate is below the cut-off, and
+    100/base-rate once the pass set could be all responders.
     """
-    return 100 / max(cut, base)
-
-
-def attainment_ratio(benefit: Fraction, ceiling: Fraction) -> Fraction:
-    """Exact attainment: a benefit index over its ceiling, times 100."""
-    return benefit / ceiling * 100
+    reach = max(cut_num * size, responders * cut_den)  # cut_den*size times the larger
+    return (100 * cut_den * size / reach,
+            100 * hits * reach / (names * responders * cut_den))
 
 
 def beni(optimized_rate, base_rate) -> float:
@@ -59,17 +57,18 @@ def beni(optimized_rate, base_rate) -> float:
         raise ZeroBaseRate()
     if not (0 <= optimized <= 1 and 0 < base <= 1):
         raise ValueError("response rates must lie in [0, 1]")
-    return float(benefit_ratio(optimized, base))
+    return benefit_index(*optimized.as_integer_ratio(), *base.as_integer_ratio())
 
 
 def beni_max(cut: CutOff, base_rate) -> float:
-    """Theoretical ceiling of the benefit index at a cut-off (see beni_ceiling)."""
+    """Theoretical ceiling of the benefit index at a cut-off (see ceiling_and_attainment)."""
     base = to_fraction(base_rate)
     if base == 0:
         raise ZeroBaseRate()
     if not 0 < base <= 1:
         raise ValueError("base rate must lie in (0, 1]")
-    return float(beni_ceiling(cut.fraction, base))
+    return ceiling_and_attainment(0, 1, *cut.fraction.as_integer_ratio(),
+                                  *base.as_integer_ratio())[0]
 
 
 def selection_count(sample_size: int, cut: CutOff) -> int:
@@ -84,14 +83,14 @@ def beni_at_cutoff(sample: RankedSample, cut: CutOff) -> float:
     n = selection_count(sample.size_x, cut)
     if n == 0:
         raise CutoffTooSmall(cut.fraction, sample.size_x)
-    return beni(Fraction(int(sample.top_responders[n]), n), sample.response_rate_r)
+    return benefit_index(int(sample.top_responders[n]), n, sample.responders_k, sample.size_x)
 
 
 def perfect_rank_sum(size_x: int, responders_k: int) -> int:
     """Sum of the top-k ranks of a size-X sample: k*X - k(k-1)/2."""
     if not 0 <= responders_k <= size_x:
         raise ValueError("responder count must lie in [0, sample size]")
-    return arithmetic_row(size_x, -1, responders_k)
+    return rank_sum_bounds(size_x, responders_k, 1, 1)[0]
 
 
 def pop_numerator_exact(sample: RankedSample) -> float:

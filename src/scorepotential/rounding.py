@@ -37,7 +37,7 @@ def round_half_up(value) -> int:
     float path and comes back unchanged.
     """
     if not isinstance(value, float):  # floats first: Fraction is an ABC, slow to test
-        if isinstance(value, Fraction):
-            return math.floor(value + Fraction(1, 2))
+        if isinstance(value, Fraction):  # floor(p/q + 1/2) in ints
+            return (2 * value.numerator + value.denominator) // (2 * value.denominator)
     floor = math.floor(value)
     return floor + (value - floor >= 0.5)

@@ -3,13 +3,25 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
+import math
 from array import array
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from scorepotential import ScoredRecord, TiePolicy, ToolkitError, rank_sample, sample_csv
+from scorepotential import (
+    BeniPoint,
+    Bucket,
+    GainsChart,
+    ScoredRecord,
+    TiePolicy,
+    ToolkitError,
+    rank_sample,
+    sample_csv,
+)
 from scorepotential.rounding import round_half_up, to_fraction
 
 # Score/response pairs of the ten-name worked sample: three responders whose
@@ -110,6 +122,92 @@ def reference_rank(records, tie_policy=TiePolicy.MIDRANK):
                 ranks[p] = float(p + 1)
         i = j + 1
     return tuple(ordered), tuple(ranks)
+
+
+def _arithmetic_row(first, step, count):
+    """Sum of the count terms first, first + step, ... on exact rationals."""
+    return first * count + step * (count * (count - 1) // 2)
+
+
+def reference_gains_chart(sample, bucket_count) -> GainsChart:
+    """Per-bucket Fraction loop, the oracle for the integer gains chart.
+
+    Every column is an exact rational, converted to float once when stored.
+    Takes a divisible bucket count and a sample with responders.
+    """
+    size = sample.size_x
+    responses = sample.responses[::-1].tolist()  # top-down
+    k = sum(responses)
+    names_per_bucket = size // bucket_count
+    spacing = Fraction(bucket_count, size)
+    base_rate = Fraction(k, size)
+    p_down = _arithmetic_row(bucket_count, -spacing, k)
+
+    buckets, beni_cum, beni_max_cum, attainment, pop_cum, row_cutoffs = [], [], [], [], [], []
+    sum_avg = sum_max = sum_min = Fraction(0)
+    cum_resp = cum_names = 0
+    for row in range(bucket_count):
+        bno = bucket_count - row
+        resp = sum(responses[row * names_per_bucket : (row + 1) * names_per_bucket])
+        cum_resp += resp
+        cum_names += names_per_bucket
+        if resp == 0:  # every marginal column is 0
+            marginal = (0.0, 0.0, 0.0, 0.0, 0.0)
+        else:
+            mx = _arithmetic_row(bno, -spacing, resp)
+            mn = _arithmetic_row(bno - 1 + spacing, spacing, resp)
+            avg = (mx + mn) / 2
+            sum_max += mx
+            sum_min += mn
+            sum_avg += avg
+            beni_m = Fraction(resp, names_per_bucket) / base_rate * 100
+            marginal = (float(mx), float(mn), float(avg), float(beni_m),
+                        float(avg / p_down * 100))
+        beni_c = Fraction(cum_resp, cum_names) / base_rate * 100
+        row_cut = Fraction(cum_names, size)
+        ceiling = 100 / max(row_cut, base_rate)
+        buckets.append(Bucket(bno, names_per_bucket, resp, *marginal))
+        beni_cum.append(float(beni_c))
+        beni_max_cum.append(float(ceiling))
+        attainment.append(float(beni_c / ceiling * 100))
+        pop_cum.append(float(sum_avg / p_down * 100))
+        row_cutoffs.append(row_cut)
+
+    return GainsChart(
+        tuple(buckets), bucket_count, size, base_rate, spacing, float(p_down),
+        float(sum_avg / p_down * 100), float(sum_min / p_down * 100),
+        float(sum_max / p_down * 100), tuple(beni_cum), tuple(beni_max_cum),
+        tuple(attainment), tuple(pop_cum), tuple(row_cutoffs))
+
+
+def reference_profile(sample, cutoffs) -> dict:
+    """Per-cut-off Fraction loop, the oracle for the BenI profile of evaluate_model.
+
+    Takes cut-offs that select at least one name of a sample with responders.
+    """
+    responses = sample.responses[::-1].tolist()  # top-down
+    rate = Fraction(sum(responses), len(responses))
+    profile = {}
+    for cut in cutoffs:
+        n = math.floor(cut.fraction * len(responses) + Fraction(1, 2))
+        benefit = Fraction(sum(responses[:n]), n) / rate * 100
+        ceiling = 100 / max(cut.fraction, rate)
+        profile[cut] = BeniPoint(float(benefit), float(ceiling), float(benefit / ceiling * 100))
+    return profile
+
+
+def float_bits(value):
+    """value with every float in it spelled by float.hex, so that an equality
+    test tells -0.0 from 0.0 (and would tell NaN payloads apart)."""
+    if isinstance(value, float):
+        return value.hex()
+    if dataclasses.is_dataclass(value):
+        return type(value), [float_bits(getattr(value, f.name)) for f in dataclasses.fields(value)]
+    if isinstance(value, tuple):
+        return type(value), [float_bits(item) for item in value]
+    if isinstance(value, dict):
+        return [(key, float_bits(item)) for key, item in value.items()]
+    return value
 
 
 def pairwise_auc(records) -> float:

@@ -36,10 +36,13 @@ from scorepotential import (
     sample_csv,
 )
 from tests.conftest import (
+    float_bits,
     pairwise_auc,
     read_csv_bytes,
     reference_csv_text,
+    reference_gains_chart,
     reference_generate_sample,
+    reference_profile,
     reference_rank,
 )
 
@@ -301,6 +304,32 @@ def test_profile_at_each_bucket_edge_equals_its_chart_row(records, policy, data)
     assert [cut.fraction for cut in evaluation.beni_profile] == list(chart.row_cutoffs)
     assert list(evaluation.beni_profile.values()) == list(zip(
         chart.beni_cumulative, chart.beni_max_cumulative, chart.attainment_ratio))
+
+
+def test_float_bits_tells_signed_zeros_apart():
+    assert float_bits((0.0,)) != float_bits((-0.0,))
+    assert float_bits(CutOff(Fraction(1, 2))) == float_bits(CutOff(Fraction(2, 4)))
+
+
+@given(records=tied_score_records(min_size=1, max_size=48),
+       policy=st.sampled_from(list(TiePolicy)), data=st.data())
+def test_integer_chart_and_profile_keep_every_bit_of_the_fraction_oracles(
+        records, policy, data):
+    sample = rank_sample(records, policy)
+    size = len(records)
+    # Any cut-off that selects at least one name: half-up of fraction * #X >= 1.
+    fractions = st.fractions(Fraction(1, 2 * size), 1, max_denominator=4 * size)
+    cuts = tuple(CutOff(f) for f in data.draw(st.lists(fractions, min_size=1, max_size=6)))
+    for bucket_count in (b for b in range(1, size + 1) if size % b == 0):
+        ctx = EvaluationContext(sample=sample, bucket_count=bucket_count,
+                                cutoffs_of_interest=cuts)
+        evaluation = evaluate_model(ctx, "m")
+        assert float_bits(build_gains_chart(sample, bucket_count)) == float_bits(
+            reference_gains_chart(sample, bucket_count))
+        assert float_bits(evaluation.gains) == float_bits(
+            reference_gains_chart(sample, bucket_count))
+        assert float_bits(evaluation.beni_profile) == float_bits(
+            reference_profile(sample, ctx.cutoffs_of_interest))
 
 
 @given(records=pooled_score_records(min_size=2))
