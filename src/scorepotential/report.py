@@ -17,6 +17,8 @@ from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 from functools import cache
 from itertools import groupby
+from json.encoder import encode_basestring_ascii as json_string
+from math import isfinite
 from operator import attrgetter, itemgetter
 from typing import Callable, get_args, get_origin, get_type_hints
 
@@ -75,33 +77,20 @@ def money_str(value: Fraction) -> str:
 
 
 def _table(headers: list[str], rows: list[list[str]]) -> list[str]:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = ["  ".join(h.rjust(widths[i]) for i, h in enumerate(headers))]
-    for row in rows:
-        lines.append("  ".join(cell.rjust(widths[i]) for i, cell in enumerate(row)))
-    return lines
+    widths = [max(map(len, column)) for column in zip(headers, *rows)]
+    return ["  ".join(cell.rjust(width) for cell, width in zip(row, widths))
+            for row in (headers, *rows)]
 
 
 def _chart_rows(chart: GainsChart) -> list[list[str]]:
-    rows = []
-    for i, b in enumerate(chart.buckets):
-        rows.append([
-            str(b.bucket_no),
-            str(b.responders),
-            unit_cell(b.p_up_max),
-            unit_cell(b.p_up_min),
-            unit_cell(b.p_up_avg),
-            percent_cell(b.pop_marginal),
-            percent_cell(chart.pop_cumulative[i]),
-            index_cell(b.beni_marginal),
-            index_cell(chart.beni_cumulative[i]),
-            index_cell(chart.beni_max_cumulative[i]),
-            percent_cell(chart.attainment_ratio[i]),
-        ])
-    return rows
+    return [
+        [str(b.bucket_no), str(b.responders), unit_cell(b.p_up_max), unit_cell(b.p_up_min),
+         unit_cell(b.p_up_avg), percent_cell(b.pop_marginal), percent_cell(pop),
+         index_cell(b.beni_marginal), index_cell(beni), index_cell(ceiling), percent_cell(share)]
+        for b, pop, beni, ceiling, share in zip(
+            chart.buckets, chart.pop_cumulative, chart.beni_cumulative,
+            chart.beni_max_cumulative, chart.attainment_ratio)
+    ]
 
 
 def render_evaluation_text(evaluation: ModelEvaluation) -> str:
@@ -127,18 +116,13 @@ def render_evaluation_text(evaluation: ModelEvaluation) -> str:
     ])
     if evaluation.stretch_target is not None:
         verdict = "met" if evaluation.meets_stretch_target else "below target"
-        lines.append(
-            f"Stretch target {evaluation.stretch_target:g}%: {verdict}"
-        )
+        lines.append(f"Stretch target {evaluation.stretch_target:g}%: {verdict}")
     if evaluation.degeneracy_flags:
         lines.append("Degeneracy: " + ", ".join(sorted(evaluation.degeneracy_flags)))
-    lines.append("")
-    profile_rows = [
-        [str(cut), index_cell(point.beni), index_cell(point.beni_max),
-         percent_cell(point.attainment_ratio)]
-        for cut, point in evaluation.beni_profile.items()
-    ]
-    lines.extend(_table(["Cut-off", "BenI", "BenI max", "Attainment"], profile_rows))
+    profile_rows = [[str(cut), index_cell(point.beni), index_cell(point.beni_max),
+                     percent_cell(point.attainment_ratio)]
+                    for cut, point in evaluation.beni_profile.items()]
+    lines += ["", *_table(["Cut-off", "BenI", "BenI max", "Attainment"], profile_rows)]
     return "\n".join(lines) + "\n"
 
 
@@ -276,8 +260,34 @@ def evaluation_from_dict(data: dict) -> ModelEvaluation:
         raise ValueError(f"evaluation document lacks the key {err}") from None
 
 
+# How json.dumps spells each JSON leaf: NaN and +-Infinity, never nan or inf.
+_JSON_LEAVES = {str: json_string, int: int.__repr__, type(None): lambda _: "null",
+                bool: lambda b: "true" if b else "false",
+                float: lambda x: float.__repr__(x) if isfinite(x) else json.dumps(x)}
+
+
 def to_json(data: dict) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    """json.dumps(data, indent=2, sort_keys=True) and a newline, byte for byte,
+    without the pure-Python encoder that json.dumps takes under an indent."""
+    return _json(data, "\n") + "\n"
+
+
+def _json(value, indent: str) -> str:
+    """value as json.dumps writes it, where indent starts each of its lines."""
+    leaf, inner = _JSON_LEAVES.get, indent + "  "
+    if type(value) is dict:  # leaves written in place: most values are leaves
+        items = [f"{json_string(key)}: {f(v) if (f := leaf(type(v))) else _json(v, inner)}"
+                 for key, v in sorted(value.items())]
+    elif type(value) in (list, tuple):
+        kinds = set(map(type, value))  # a list of one leaf type is written in one pass
+        f = leaf(kinds.pop()) if len(kinds) == 1 else None
+        items = list(map(f, value)) if f else [_json(v, inner) for v in value]
+    elif f := leaf(type(value)):
+        return f(value)
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    start, end = "{}" if type(value) is dict else "[]"
+    return f"{start}{inner}{(',' + inner).join(items)}{indent}{end}" if items else start + end
 
 
 def _rows(section: list[tuple], evaluation: ModelEvaluation):
@@ -374,22 +384,13 @@ def comparison_to_csv(report: ComparisonReport) -> str:
 
 
 def render_comparison_text(report: ComparisonReport) -> str:
-    rows = []
-    for rank, evaluation in enumerate(report.evaluations, start=1):
-        gate = ""
-        if evaluation.meets_stretch_target is not None:
-            gate = "met" if evaluation.meets_stretch_target else "below"
-        rows.append([
-            str(rank), evaluation.model_id,
-            percent_cell(evaluation.pop_exact),
-            percent_cell(evaluation.pop_approx),
-            gate,
-        ])
+    gates = {None: "", True: "met", False: "below"}
+    rows = [[str(rank), e.model_id, percent_cell(e.pop_exact), percent_cell(e.pop_approx),
+             gates[e.meets_stretch_target]] for rank, e in enumerate(report.evaluations, start=1)]
     lines = ["Ranking by exact score potential", ""]
     lines.extend(_table(["#", "Model", "PoP", "PoP'", "Target"], rows))
     if report.below_target:
-        lines.append("")
-        lines.append("Below stretch target: " + ", ".join(report.below_target))
+        lines += ["", "Below stretch target: " + ", ".join(report.below_target)]
     return "\n".join(lines) + "\n"
 
 
@@ -435,10 +436,8 @@ def render_economics_text(econ: CampaignEconomics) -> str:
     if per_responder is None:
         lines.append("Cost per responder: undefined (no responders)")
     else:
-        lines.append(f"Cost per responder: {money_str(per_responder)}")
-        lines.append(
-            "Spreading loss (per action - per responder): "
-            f"{money_str(loss.cost_per_action)} - {money_str(loss.cost_per_responder)}"
-            f" = {money_str(loss.loss)}"
-        )
+        lines += [f"Cost per responder: {money_str(per_responder)}",
+                  "Spreading loss (per action - per responder): "
+                  f"{money_str(loss.cost_per_action)} - {money_str(loss.cost_per_responder)}"
+                  f" = {money_str(loss.loss)}"]
     return "\n".join(lines) + "\n"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import scorepotential
 from scorepotential import (
@@ -274,3 +276,32 @@ def test_economics_csv_and_json_carry_the_same_keys(rate8_evaluation, econ):
 def test_json_output_ends_with_newline(rate4_evaluation):
     assert render_combined_chart(rate4_evaluation, "json").endswith("\n")
     assert to_json({"a": 1}).endswith("\n")
+
+
+def test_json_spells_non_finite_floats_as_json_dumps_does():
+    doc = {"b": [math.inf, -math.inf, 1.5], "a": math.nan, "c": [math.nan], "d": {"e": -math.inf}}
+    text = to_json(doc)
+    assert text == (
+        '{\n  "a": NaN,\n  "b": [\n    Infinity,\n    -Infinity,\n    1.5\n  ],\n'
+        '  "c": [\n    NaN\n  ],\n  "d": {\n    "e": -Infinity\n  }\n}\n')
+    assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert "nan" not in text and "inf" not in text
+
+
+def test_json_refuses_what_json_dumps_refuses():
+    for value in (Fraction(1, 2), {1, 2}, b"x"):
+        with pytest.raises(TypeError):
+            json.dumps(value)
+        with pytest.raises(TypeError):
+            to_json({"a": [value]})
+
+
+JSON_KEYS = st.text(max_size=6)
+JSON_LEAVES = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+
+
+@given(doc=st.dictionaries(JSON_KEYS, st.recursive(JSON_LEAVES, lambda inner: (
+    st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(JSON_KEYS, inner, max_size=4)), max_leaves=12), max_size=4))
+def test_json_writes_the_bytes_of_indented_json_dumps(doc):
+    assert to_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
