@@ -100,8 +100,7 @@ def pop_denominator_chart(bucket_count: int, responders_k: int, spacing) -> floa
     """
     if responders_k < 1:
         raise NoResponders()
-    units, scale = to_fraction(spacing).as_integer_ratio()
-    return rank_sum_bounds(bucket_count, responders_k, units, scale)[0] / scale
+    return _bucket_bounds(bucket_count, responders_k, spacing)[0]
 
 
 def build_gains_chart(sample: RankedSample, bucket_count: int) -> GainsChart:

@@ -2,7 +2,8 @@
 
 Round-trip tests cannot see a change of bytes that parses back to an equal
 value (say, degeneracy flags written unsorted); these tests can.  The files
-under tests/golden/ are the documents the CLI writes for the worked samples.
+under tests/golden/ are the documents the CLI writes for the worked samples
+and for a tied sample of 200 names charted in 50 buckets.
 Regenerate them with ``python -m tests.test_golden`` from the repository
 root, and only for an intended change of output.
 """
