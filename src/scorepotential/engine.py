@@ -51,9 +51,6 @@ class ModelEvaluation:
 
     model_id: str
     pop_exact: float
-    pop_approx: float
-    pop_approx_min: float
-    pop_approx_max: float
     gains: GainsChart
     beni_profile: dict[CutOff, BeniPoint]
     meets_stretch_target: bool | None = None
@@ -104,9 +101,6 @@ def evaluate_model(ctx: EvaluationContext, model_id: str) -> ModelEvaluation:
     return ModelEvaluation(
         model_id=model_id,
         pop_exact=exact,
-        pop_approx=chart.pop_approx,
-        pop_approx_min=chart.pop_min_variant,
-        pop_approx_max=chart.pop_max_variant,
         gains=chart,
         beni_profile=profile,
         meets_stretch_target=meets,
@@ -126,9 +120,7 @@ def compare_models(evals: Sequence[ModelEvaluation]) -> ComparisonReport:
     ids = [e.model_id for e in evals]
     if len(set(ids)) != len(ids):
         raise ValueError("model ids in a batch must be unique")
-    ordered = tuple(
-        sorted(evals, key=lambda e: (-e.pop_exact, -e.pop_approx, e.model_id))
-    )
+    ordered = tuple(sorted(evals, key=lambda e: (-e.pop_exact, -e.gains.pop_approx, e.model_id)))
     ranking = tuple(e.model_id for e in ordered)
     below = tuple(e.model_id for e in ordered if e.meets_stretch_target is False)
     return ComparisonReport(evaluations=ordered, ranking=ranking, below_target=below)

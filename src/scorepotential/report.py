@@ -110,9 +110,9 @@ def render_evaluation_text(evaluation: ModelEvaluation) -> str:
         f"PoP = P↑/P↓ = {percent_cell(chart.pop_approx)}",
         "",
         f"Score potential, exact ranking: {percent_cell(evaluation.pop_exact)}",
-        f"Score potential, chart approx:  {percent_cell(evaluation.pop_approx)}"
-        f"  [min {percent_cell(evaluation.pop_approx_min)},"
-        f" max {percent_cell(evaluation.pop_approx_max)}]",
+        f"Score potential, chart approx:  {percent_cell(chart.pop_approx)}"
+        f"  [min {percent_cell(chart.pop_min_variant)},"
+        f" max {percent_cell(chart.pop_max_variant)}]",
     ])
     if evaluation.stretch_target is not None:
         verdict = "met" if evaluation.meets_stretch_target else "below target"
@@ -135,10 +135,8 @@ META_CSV_COLUMNS = [
     "bucket_count", "sample_size", "base_rate", "spacing", "p_down_chart",
 ]
 
-# Fields whose CSV column has another name.  The chart's pop_approx,
-# pop_min_variant and pop_max_variant equal the evaluation's pop_approx,
-# pop_approx_min and pop_approx_max, so the CSV keeps each once, in the
-# evaluation's column.  A cut-off is keyed by its fraction, in JSON too.
+# Fields whose CSV column has another name.  A cut-off is keyed by its
+# fraction, in JSON too.
 FIELD_COLUMNS = {
     "pop_min_variant": "pop_approx_min", "pop_max_variant": "pop_approx_max",
     "row_cutoffs": "row_cutoff", "fraction": "cutoff",
@@ -215,16 +213,19 @@ def _codec(hint) -> _Codec:
 def _section(header: list[str], *owners: tuple[type, Callable]) -> list[tuple]:
     """One CSV section: a (name, codec, column) per name of the header.
 
-    A column holds the field of its name of the first owner (class, rows)
-    with one; rows takes an evaluation to the class's objects in the
-    section's rows, and a tuple field of such an object holds a whole
-    column.  column takes an evaluation to the column's cells.
+    A column holds the one field of its name among the owners (class,
+    rows); rows takes an evaluation to the class's objects in the section's
+    rows, and a tuple field of such an object holds a whole column.  column
+    takes an evaluation to the column's cells.
     """
     section = []
     for name in header:
-        rows, field, hint, codec = next(
-            (rows, field, hint, codec) for cls, rows in owners
-            for field, hint, codec in _fields(cls) if FIELD_COLUMNS.get(field, field) == name)
+        claims = [(rows, field, hint, codec) for cls, rows in owners
+                  for field, hint, codec in _fields(cls)
+                  if FIELD_COLUMNS.get(field, field) == name]
+        if len(claims) != 1:
+            raise ValueError(f"the CSV column {name} is claimed by {len(claims)} fields, not 1")
+        ((rows, field, hint, codec),) = claims
         section.append((name, codec, _column(rows, attrgetter(field),
                                              get_origin(hint) is tuple, codec.cell)))
     return section
@@ -237,16 +238,21 @@ def _column(rows: Callable, get: Callable, whole: bool, cell: Callable | None) -
     return column
 
 
+# The meta, bucket and profile sections: each header, and the owners of its
+# columns (_section).
+_CHART = (GainsChart, lambda e: (e.gains,))
+_CSV_SECTIONS = (
+    (META_CSV_COLUMNS, (ModelEvaluation, lambda e: (e,)), _CHART),
+    (BUCKET_CSV_HEADER, (Bucket, attrgetter("gains.buckets")), _CHART),
+    (PROFILE_CSV_HEADER, (CutOff, attrgetter("beni_profile")),
+     (BeniPoint, lambda e: e.beni_profile.values())),
+)
+
+
 @cache
 def _sections() -> tuple[list[tuple], ...]:
-    """The meta, bucket and profile sections, built on first use."""
-    chart = (GainsChart, lambda e: (e.gains,))
-    return (
-        _section(META_CSV_COLUMNS, (ModelEvaluation, lambda e: (e,)), chart),
-        _section(BUCKET_CSV_HEADER, (Bucket, attrgetter("gains.buckets")), chart),
-        _section(PROFILE_CSV_HEADER, (CutOff, attrgetter("beni_profile")),
-                 (BeniPoint, lambda e: e.beni_profile.values())),
-    )
+    """The sections of _CSV_SECTIONS, built on first use."""
+    return tuple(_section(*spec) for spec in _CSV_SECTIONS)
 
 
 def evaluation_to_dict(evaluation: ModelEvaluation) -> dict:
@@ -385,7 +391,7 @@ def comparison_to_csv(report: ComparisonReport) -> str:
 
 def render_comparison_text(report: ComparisonReport) -> str:
     gates = {None: "", True: "met", False: "below"}
-    rows = [[str(rank), e.model_id, percent_cell(e.pop_exact), percent_cell(e.pop_approx),
+    rows = [[str(rank), e.model_id, percent_cell(e.pop_exact), percent_cell(e.gains.pop_approx),
              gates[e.meets_stretch_target]] for rank, e in enumerate(report.evaluations, start=1)]
     lines = ["Ranking by exact score potential", ""]
     lines.extend(_table(["#", "Model", "PoP", "PoP'", "Target"], rows))
