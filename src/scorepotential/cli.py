@@ -198,13 +198,10 @@ def _cmd_compare(args, parser: argparse.ArgumentParser, out) -> int:
         parser.error("sample files must have distinct names (model ids come from them)")
     evaluations = [_evaluate_path(args, p) for p in args.samples]
     report = compare_models(evaluations)
-    out.write(render_comparison(report, args.fmt))
-    if args.figure is not None:
-        series = [
-            (e.model_id, e.pop_exact, _reference_attainment(e))
-            for e in report.evaluations
-        ]
+    if args.figure is not None:  # first, so that a figure that fails leaves stdout empty
+        series = [(e.model_id, e.pop_exact, _reference_attainment(e)) for e in report.evaluations]
         args.figure.write_text(render_pop_vs_beni_figure(series), encoding="utf-8")
+    out.write(render_comparison(report, args.fmt))
     return 0
 
 

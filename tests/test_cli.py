@@ -122,6 +122,19 @@ def test_compare_writes_figure(tmp_path, rate4_csv, cutoffs):
     assert 'id="pop-curve"' in svg
 
 
+# One model is too few points for a figure (exit 18); a figure in a missing
+# directory cannot be written (exit 3).  Either way no ranking is printed.
+@pytest.mark.parametrize("models, figure_dir, exit_code", [(1, ".", 18), (2, "missing", 3)])
+def test_compare_prints_nothing_when_its_figure_fails(tmp_path, rate4_csv, models, figure_dir,
+                                                      exit_code):
+    strong = tmp_path / "strong.csv"
+    write_sample_csv(bucketed_records([4, 0, 0, 0, 0, 0, 0, 0, 0, 0], 10), strong)
+    figure = tmp_path / figure_dir / "out.svg"
+    paths = [str(rate4_csv), str(strong)][:models]
+    assert run_cli("compare", *paths, "--figure", str(figure)) == (exit_code, "")
+    assert not figure.exists()
+
+
 def test_compare_output_is_byte_identical_across_runs(tmp_path):
     paths = []
     for seed in range(4):
