@@ -64,6 +64,8 @@ class GainsChart:
                      "pop_cumulative", "row_cutoffs"):
             if len(getattr(self, name)) != self.bucket_count:
                 raise ValueError(f"{name} must have bucket_count ({self.bucket_count}) entries")
+        if not self.pop_cumulative or self.pop_approx != self.pop_cumulative[-1]:
+            raise ValueError("pop_approx must equal the last pop_cumulative entry")
 
 
 def _bucket_bounds(bucket_no: int, responders: int, spacing) -> tuple[float, float]:

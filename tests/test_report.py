@@ -141,6 +141,8 @@ def test_csv_reader_names_a_missing_meta_value(rate4_evaluation, replacement):
 @pytest.mark.parametrize("key, edit", [
     ("bucket_count", lambda gains: gains.update(bucket_count=3)),
     ("beni_cumulative", lambda gains: gains["beni_cumulative"].pop()),
+    ("pop_approx", lambda gains: gains.update(pop_approx=12.5)),
+    ("pop_approx", lambda gains: gains["pop_cumulative"].__setitem__(-1, 12.5)),
 ])
 def test_json_reader_rejects_a_chart_off_its_bucket_rows(rate4_evaluation, key, edit):
     data = evaluation_to_dict(rate4_evaluation)
@@ -149,11 +151,15 @@ def test_json_reader_rejects_a_chart_off_its_bucket_rows(rate4_evaluation, key, 
         evaluation_from_dict(data)
 
 
-def test_csv_reader_rejects_a_bucket_count_off_its_rows(rate4_evaluation):
+@pytest.mark.parametrize("key, row, edited", [
+    ("bucket_count", "bucket_count,10", "bucket_count,3"),
+    ("pop_approx", f"pop_approx,{float(Fraction(14600, 197))!r}", "pop_approx,12.5"),
+])
+def test_csv_reader_rejects_a_chart_off_its_bucket_rows(rate4_evaluation, key, row, edited):
     text = render_combined_chart(rate4_evaluation, "csv")
-    assert "\nbucket_count,10\n" in text
-    with pytest.raises(ValueError, match="bucket_count"):
-        evaluation_from_csv(text.replace("\nbucket_count,10\n", "\nbucket_count,3\n"))
+    assert f"\n{row}\n" in text
+    with pytest.raises(ValueError, match=key):
+        evaluation_from_csv(text.replace(f"\n{row}\n", f"\n{edited}\n"))
 
 
 def _repeat_model_id(lines):
