@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,8 +23,7 @@ from .rounding import to_fraction
 from .sample import RankedSample
 
 
-@dataclass(frozen=True)
-class Bucket:
+class Bucket(NamedTuple):
     """One score-ranked bucket with its marginal columns."""
 
     bucket_no: int
