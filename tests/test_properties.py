@@ -24,6 +24,7 @@ from scorepotential import (
     evaluate_model,
     evaluation_from_csv,
     evaluation_from_dict,
+    evaluation_to_csv,
     generate_columns,
     generate_sample,
     perfect_rank_sum,
@@ -360,6 +361,37 @@ def test_machine_formats_round_trip_to_the_same_bytes(records, policy, target, m
     from_csv = evaluation_from_csv(as_csv)
     assert from_csv == evaluation
     assert render_combined_chart(from_csv, "csv") == as_csv
+
+
+def float_paths(doc, path=()):
+    """The path (keys and indices) of each float in a JSON document."""
+    if type(doc) is float:
+        yield path
+    elif type(doc) in (dict, list):
+        for key, value in doc.items() if type(doc) is dict else enumerate(doc):
+            yield from float_paths(value, (*path, key))
+
+
+@given(records=pooled_score_records(min_size=1, need_responder=True),
+       target=st.none() | st.floats(0, 100, exclude_min=True), data=st.data())
+def test_every_evaluation_a_json_document_loads_as_survives_csv(records, target, data):
+    size = len(records)
+    bucket_count = data.draw(st.sampled_from([b for b in range(1, size + 1) if size % b == 0]))
+    ctx = EvaluationContext(sample=rank_sample(records), bucket_count=bucket_count,
+                            cutoffs_of_interest=(CutOff(Fraction(1, size)), CutOff(1)),
+                            stretch_target=target)
+    doc = json.loads(render_combined_chart(evaluate_model(ctx, "m"), "json"))
+    # Top-level floats first, where Hypothesis looks first.
+    *keys, last = data.draw(st.sampled_from(sorted(float_paths(doc), key=len)))
+    parent = doc
+    for key in keys:
+        parent = parent[key]
+    parent[last] = data.draw(st.floats(allow_nan=False, allow_infinity=False))
+    try:
+        evaluation = evaluation_from_dict(doc)
+    except ValueError:
+        return  # a chart that the edit made inconsistent is refused
+    assert evaluation_from_csv(evaluation_to_csv(evaluation)) == evaluation
 
 
 # Characters that csv.writer quotes (or, for \r, might), beside spaces and non-ASCII.

@@ -7,16 +7,23 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, strategies as st
 
 import scorepotential
 from scorepotential import (
+    BeniPoint,
+    Bucket,
     CampaignEconomics,
+    CutOff,
     EvaluationContext,
+    GainsChart,
+    ModelEvaluation,
     compare_models,
     evaluate_model,
     evaluation_from_csv,
@@ -26,6 +33,7 @@ from scorepotential import (
     render_comparison,
     render_economics_text,
 )
+from scorepotential import report
 from scorepotential.report import money_str, to_json
 from tests.conftest import bucketed_records
 from scorepotential import rank_sample
@@ -182,6 +190,33 @@ def test_csv_reader_takes_each_meta_row_once_in_order(rate4_evaluation, edit):
     edit(lines)
     with pytest.raises(ValueError):
         evaluation_from_csv("".join(lines))
+
+
+def test_a_document_with_the_evaluations_old_pop_approx_copies_still_loads(rate4_evaluation):
+    data = evaluation_to_dict(rate4_evaluation)
+    gains = data["gains"]
+    data.update(pop_approx=gains["pop_approx"], pop_approx_min=gains["pop_min_variant"],
+                pop_approx_max=gains["pop_max_variant"])
+    assert evaluation_from_dict(json.loads(to_json(data))) == rate4_evaluation
+
+
+def test_each_field_fills_exactly_one_csv_column():
+    nested = {(ModelEvaluation, "gains"), (ModelEvaluation, "beni_profile"),
+              (GainsChart, "buckets")}
+    claims = Counter((cls, field) for header, *owners in report._CSV_SECTIONS
+                     for cls, _ in owners for field, _, _ in report._fields(cls)
+                     if report.FIELD_COLUMNS.get(field, field) in header)
+    assert claims == {(cls, field): 1
+                      for cls in (ModelEvaluation, GainsChart, Bucket, CutOff, BeniPoint)
+                      for field, _, _ in report._fields(cls) if (cls, field) not in nested}
+
+
+def test_a_csv_column_claimed_by_two_fields_is_refused():
+    class Copy(NamedTuple):
+        pop_approx: float
+
+    with pytest.raises(ValueError, match="pop_approx"):
+        report._section(["pop_approx"], (Copy, lambda e: (e,)), report._CHART)
 
 
 def test_importing_builds_no_report_schema():
