@@ -121,11 +121,7 @@ def build_gains_chart(sample: RankedSample, bucket_count: int) -> GainsChart:
     # Responders per bucket, walking buckets top-down (highest scores first).
     responder_counts = np.diff(sample.top_responders[::names_per_bucket]).tolist()
 
-    buckets = []
-    beni_cum = []
-    beni_max_cum = []
-    attainment = []
-    pop_cum = []
+    buckets, beni_cum, beni_max_cum, attainment, pop_cum = [], [], [], [], []
     sum_max = sum_min = cum_resp = cum_names = 0
     for row, resp in enumerate(responder_counts):
         bno = bucket_count - row

@@ -110,9 +110,8 @@ def render_evaluation_text(evaluation: ModelEvaluation) -> str:
         f"PoP = P↑/P↓ = {percent_cell(chart.pop_approx)}",
         "",
         f"Score potential, exact ranking: {percent_cell(evaluation.pop_exact)}",
-        f"Score potential, chart approx:  {percent_cell(chart.pop_approx)}"
-        f"  [min {percent_cell(chart.pop_min_variant)},"
-        f" max {percent_cell(chart.pop_max_variant)}]",
+        f"Score potential, chart approx:  {percent_cell(chart.pop_approx)}  [min "
+        f"{percent_cell(chart.pop_min_variant)}, max {percent_cell(chart.pop_max_variant)}]",
     ])
     if evaluation.stretch_target is not None:
         verdict = "met" if evaluation.meets_stretch_target else "below target"
@@ -135,12 +134,9 @@ META_CSV_COLUMNS = [
     "bucket_count", "sample_size", "base_rate", "spacing", "p_down_chart",
 ]
 
-# Fields whose CSV column has another name.  A cut-off is keyed by its
-# fraction, in JSON too.
-FIELD_COLUMNS = {
-    "pop_min_variant": "pop_approx_min", "pop_max_variant": "pop_approx_max",
-    "row_cutoffs": "row_cutoff", "fraction": "cutoff",
-}
+# Fields whose CSV column has another name; a cut-off is keyed by its fraction, in JSON too.
+FIELD_COLUMNS = {"pop_min_variant": "pop_approx_min", "pop_max_variant": "pop_approx_max",
+                 "row_cutoffs": "row_cutoff", "fraction": "cutoff"}
 
 
 # dump/load: a value to and from JSON, None where the value is its own JSON;
@@ -220,9 +216,8 @@ def _section(header: list[str], *owners: tuple[type, Callable]) -> list[tuple]:
     """
     section = []
     for name in header:
-        claims = [(rows, field, hint, codec) for cls, rows in owners
-                  for field, hint, codec in _fields(cls)
-                  if FIELD_COLUMNS.get(field, field) == name]
+        claims = [(rows, f, hint, codec) for cls, rows in owners
+                  for f, hint, codec in _fields(cls) if FIELD_COLUMNS.get(f, f) == name]
         if len(claims) != 1:
             raise ValueError(f"the CSV column {name} is claimed by {len(claims)} fields, not 1")
         ((rows, field, hint, codec),) = claims
@@ -238,8 +233,7 @@ def _column(rows: Callable, get: Callable, whole: bool, cell: Callable | None) -
     return column
 
 
-# The meta, bucket and profile sections: each header, and the owners of its
-# columns (_section).
+# The meta, bucket and profile sections: each header and its owners (_section).
 _CHART = (GainsChart, lambda e: (e.gains,))
 _CSV_SECTIONS = (
     (META_CSV_COLUMNS, (ModelEvaluation, lambda e: (e,)), _CHART),
