@@ -381,7 +381,7 @@ def test_every_evaluation_a_json_document_loads_as_survives_csv(records, target,
                             cutoffs_of_interest=(CutOff(Fraction(1, size)), CutOff(1)),
                             stretch_target=target)
     doc = json.loads(render_combined_chart(evaluate_model(ctx, "m"), "json"))
-    # Top-level floats first, where Hypothesis looks first.
+    # Top-level floats first: Hypothesis shrinks a sampled path toward the first.
     *keys, last = data.draw(st.sampled_from(sorted(float_paths(doc), key=len)))
     parent = doc
     for key in keys:
