@@ -15,9 +15,9 @@ from pathlib import Path
 
 from .economics import CampaignEconomics
 from .engine import (
-    DECILE_CUTOFFS,
     EvaluationContext,
     ModelEvaluation,
+    check_settings,
     compare_models,
     evaluate_model,
 )
@@ -43,15 +43,6 @@ from .sample_csv import read_sample_columns as parse_sample_csv
 IO_ERROR_EXIT = 3
 
 
-# --buckets and --target are checked here, not by EvaluationContext: that needs
-# a ranked sample, so its checks would run only after the first file was read.
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
-
-
 def _cutoff_list(text: str) -> tuple[CutOff, ...]:
     cuts = []
     for part in text.split(","):
@@ -69,16 +60,7 @@ def _cutoff_list(text: str) -> tuple[CutOff, ...]:
                 f"bad cut-off {part!r}: not a rational number") from None
         except ValueError as err:
             raise argparse.ArgumentTypeError(f"bad cut-off {part!r}: {err}") from None
-    if not cuts:
-        raise argparse.ArgumentTypeError("cut-off list is empty")
     return tuple(cuts)
-
-
-def _target(text: str) -> float:
-    value = float(text)
-    if not 0 < value <= 100:
-        raise argparse.ArgumentTypeError("stretch target must lie in (0, 100]")
-    return value
 
 
 def _rational(text: str) -> Fraction:
@@ -91,12 +73,13 @@ def _rational(text: str) -> Fraction:
 
 
 def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--buckets", type=_positive_int, default=10,
-                        help="number of gains-chart buckets (default 10)")
-    parser.add_argument("--cutoffs", type=_cutoff_list, default=DECILE_CUTOFFS,
+    parser.add_argument("--buckets", type=int, default=EvaluationContext.bucket_count,
+                        help="number of gains-chart buckets (default %(default)s)")
+    parser.add_argument("--cutoffs", type=_cutoff_list,
+                        default=EvaluationContext.cutoffs_of_interest,
                         help="comma list of cut-offs, e.g. '10%%,40%%' or '0.1,0.4' "
                              "(default deciles)")
-    parser.add_argument("--target", type=_target, default=None,
+    parser.add_argument("--target", type=float, default=None,
                         help="stretch target for the score potential, in percent")
     parser.add_argument("--ties", choices=[p.value for p in TiePolicy],
                         default=TiePolicy.MIDRANK.value,
@@ -153,16 +136,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _checked(parser: argparse.ArgumentParser, build, *values):
+    """build(*values), whose ValueError (a library range rule) is a usage error."""
+    try:
+        return build(*values)
+    except ValueError as err:
+        parser.error(str(err))
+
+
 def _economics_from_args(args, parser: argparse.ArgumentParser) -> CampaignEconomics | None:
     given = [v is not None for v in (args.total_cost, args.addresses, args.responders)]
     if not any(given):
         return None
     if not all(given):
         parser.error("--total-cost, --addresses and --responders go together")
-    try:
-        return CampaignEconomics(args.total_cost, args.addresses, args.responders)
-    except ValueError as err:
-        parser.error(str(err))
+    return _checked(parser, CampaignEconomics, args.total_cost, args.addresses, args.responders)
 
 
 def _evaluate_path(args, path: Path) -> ModelEvaluation:
@@ -187,12 +175,14 @@ def _reference_attainment(evaluation: ModelEvaluation) -> float:
 
 
 def _cmd_evaluate(args, parser: argparse.ArgumentParser, out) -> int:
+    _checked(parser, check_settings, args.buckets, args.cutoffs, args.target)
     economics = _economics_from_args(args, parser)
     out.write(render_combined_chart(_evaluate_path(args, args.sample), args.fmt, economics))
     return 0
 
 
 def _cmd_compare(args, parser: argparse.ArgumentParser, out) -> int:
+    _checked(parser, check_settings, args.buckets, args.cutoffs, args.target)
     stems = [p.stem for p in args.samples]
     if len(set(stems)) != len(stems):
         parser.error("sample files must have distinct names (model ids come from them)")
@@ -206,10 +196,7 @@ def _cmd_compare(args, parser: argparse.ArgumentParser, out) -> int:
 
 
 def _cmd_gen(args, parser: argparse.ArgumentParser, out) -> int:
-    try:
-        columns = generate_sample(args.size, args.rate, args.quality, args.seed)
-    except ValueError as err:
-        parser.error(str(err))
+    columns = _checked(parser, generate_sample, args.size, args.rate, args.quality, args.seed)
     if args.output is None:
         records_to_csv_text(columns, out)
     else:

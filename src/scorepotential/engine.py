@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,14 +35,21 @@ class EvaluationContext:
     stretch_target: float | None = None
 
     def __post_init__(self):
-        if self.bucket_count < 1:
-            raise ValueError("bucket count must be positive")
-        cuts = tuple(sorted(set(self.cutoffs_of_interest), key=lambda c: c.fraction))
-        object.__setattr__(self, "cutoffs_of_interest", cuts)
-        if not cuts:
-            raise ValueError("at least one cut-off of interest is required")
-        if self.stretch_target is not None and not 0 < self.stretch_target <= 100:
-            raise ValueError("stretch target must lie in (0, 100]")
+        object.__setattr__(self, "cutoffs_of_interest", check_settings(
+            self.bucket_count, self.cutoffs_of_interest, self.stretch_target))
+
+
+def check_settings(bucket_count: int, cutoffs: Iterable[CutOff],
+                   stretch_target: float | None) -> tuple[CutOff, ...]:
+    """The rules of an evaluation's settings; returns the cut-offs sorted, each once."""
+    if bucket_count < 1:
+        raise ValueError("bucket count must be positive")
+    cuts = tuple(sorted(set(cutoffs), key=lambda c: c.fraction))
+    if not cuts:
+        raise ValueError("at least one cut-off of interest is required")
+    if stretch_target is not None and not 0 < stretch_target <= 100:
+        raise ValueError("stretch target must lie in (0, 100]")
+    return cuts
 
 
 @dataclass(frozen=True)

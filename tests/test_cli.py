@@ -9,7 +9,7 @@ import threading
 
 import pytest
 
-from scorepotential import evaluation_from_csv, write_sample_csv
+from scorepotential import EvaluationContext, evaluation_from_csv, write_sample_csv
 from scorepotential.cli import main
 from tests.conftest import (
     RATE4_DECILE_RESPONDERS,
@@ -289,6 +289,25 @@ def test_range_errors_print_the_subcommand_usage(command, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"usage: scorepotential {argv[0]} ")
     assert f"scorepotential {argv[0]}: error: " in err
+
+
+# The settings flags are checked by EvaluationContext's own rules, before the
+# (missing) sample files are read, and the error is the library's message.
+@pytest.mark.parametrize("command, settings", [
+    (EVALUATE + " --buckets 0", {"bucket_count": 0}),
+    (EVALUATE + " --target 0", {"stretch_target": 0.0}),
+    (EVALUATE + " --target 101", {"stretch_target": 101.0}),
+    (EVALUATE + " --cutoffs ,", {"cutoffs_of_interest": ()}),
+    ("compare {tmp}/a.csv {tmp}/b.csv --target 150", {"stretch_target": 150.0}),
+])
+def test_settings_errors_are_evaluation_contexts_own(command, settings, tmp_path, capsys,
+                                                      rate4_sample):
+    with pytest.raises(ValueError) as rule:
+        EvaluationContext(sample=rate4_sample, **settings)
+    with pytest.raises(SystemExit) as excinfo:
+        main(command.format(tmp=tmp_path).split(), out=io.StringIO())
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().err.endswith(f": error: {rule.value}\n")
 
 
 @pytest.mark.parametrize("cutoff", ["1/0", "10/0%"])
