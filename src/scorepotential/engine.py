@@ -47,9 +47,18 @@ def check_settings(bucket_count: int, cutoffs: Iterable[CutOff],
     cuts = tuple(sorted(set(cutoffs), key=lambda c: c.fraction))
     if not cuts:
         raise ValueError("at least one cut-off of interest is required")
+    _check_target(stretch_target)
+    return cuts
+
+
+def _check_target(stretch_target: float | None) -> None:
     if stretch_target is not None and not 0 < stretch_target <= 100:
         raise ValueError("stretch target must lie in (0, 100]")
-    return cuts
+
+
+def _meets_target(pop: float, stretch_target: float | None) -> bool | None:
+    """The stretch-target gate: whether pop reaches the target, None without one."""
+    return None if stretch_target is None else pop >= stretch_target
 
 
 @dataclass(frozen=True)
@@ -63,6 +72,15 @@ class ModelEvaluation:
     meets_stretch_target: bool | None = None
     stretch_target: float | None = None
     degeneracy_flags: frozenset[str] = frozenset()
+
+    def __post_init__(self):
+        _check_target(self.stretch_target)
+        if self.meets_stretch_target != _meets_target(self.pop_exact, self.stretch_target):
+            raise ValueError("meets_stretch_target must be pop_exact >= stretch_target, "
+                             "or null without a target")
+        cuts = [cut.fraction for cut in self.beni_profile]  # an order check, not a sort
+        if not cuts or any(a >= b for a, b in zip(cuts, cuts[1:])):
+            raise ValueError("beni_profile must list at least one cut-off, in ascending order")
 
 
 @dataclass(frozen=True)
@@ -101,16 +119,12 @@ def evaluate_model(ctx: EvaluationContext, model_id: str) -> ModelEvaluation:
     if sample.has_ties:
         flags.add("ties_present")
 
-    meets = None
-    if ctx.stretch_target is not None:
-        meets = exact >= ctx.stretch_target
-
     return ModelEvaluation(
         model_id=model_id,
         pop_exact=exact,
         gains=chart,
         beni_profile=profile,
-        meets_stretch_target=meets,
+        meets_stretch_target=_meets_target(exact, ctx.stretch_target),
         stretch_target=ctx.stretch_target,
         degeneracy_flags=frozenset(flags),
     )

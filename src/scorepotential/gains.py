@@ -66,6 +66,11 @@ class GainsChart:
                 raise ValueError(f"{name} must have bucket_count ({self.bucket_count}) entries")
         if not self.pop_cumulative or self.pop_approx != self.pop_cumulative[-1]:
             raise ValueError("pop_approx must equal the last pop_cumulative entry")
+        # Each is a ratio of ints, rounded once, so a built chart never fails these.
+        if not self.pop_min_variant <= self.pop_approx <= self.pop_max_variant:
+            raise ValueError("pop_approx must lie between pop_min_variant and pop_max_variant")
+        if not all(b.p_up_min <= b.p_up_avg <= b.p_up_max for b in self.buckets):
+            raise ValueError("each bucket's p_up_avg must lie between its p_up_min and p_up_max")
 
 
 def _bucket_bounds(bucket_no: int, responders: int, spacing) -> tuple[float, float]:

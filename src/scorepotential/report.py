@@ -182,7 +182,8 @@ def _codec(hint) -> _Codec:
         return _Codec(
             lambda m: [{name: key.dump(getattr(k, key_field)), **value.dump(v)}
                        for k, v in m.items()],
-            lambda entries: {args[0](key.load(e[name])): value.load(e) for e in entries})
+            lambda entries: _once_each([(args[0](key.load(e[name])), value.load(e))
+                                        for e in entries], name))
     # A dataclass or NamedTuple: a JSON object of its fields, of which only
     # those with a dump are converted.  vars(o) would copy faster, but it
     # gives the object a __dict__ of its own, and the evaluation, read again
@@ -204,6 +205,13 @@ def _codec(hint) -> _Codec:
         return hint(*values)
 
     return _Codec(dump, load)
+
+
+def _once_each(pairs: list, name: str) -> dict:
+    """A dict of the (key, value) pairs, where no key may come twice."""
+    if len(mapping := dict(pairs)) != len(pairs):
+        raise ValueError(f"a {name} is listed twice")
+    return mapping
 
 
 def _section(header: list[str], *owners: tuple[type, Callable]) -> list[tuple]:
@@ -346,7 +354,7 @@ def evaluation_from_csv(text: str) -> ModelEvaluation:
     table = _read_table(sections[1], bucket_section)
     points = _read_table(sections[2], profile_section)
     (chart,) = _build(GainsChart, {**meta, **table, "buckets": _build(Bucket, table)})
-    profile = dict(zip(_build(CutOff, points), _build(BeniPoint, points)))
+    profile = _once_each(list(zip(_build(CutOff, points), _build(BeniPoint, points))), "cutoff")
     (evaluation,) = _build(ModelEvaluation, {**meta, "gains": [chart], "beni_profile": [profile]})
     return evaluation
 

@@ -151,6 +151,8 @@ def test_csv_reader_names_a_missing_meta_value(rate4_evaluation, replacement):
     ("beni_cumulative", lambda gains: gains["beni_cumulative"].pop()),
     ("pop_approx", lambda gains: gains.update(pop_approx=12.5)),
     ("pop_approx", lambda gains: gains["pop_cumulative"].__setitem__(-1, 12.5)),
+    ("pop_max_variant", lambda gains: gains.update(pop_max_variant=12.5)),
+    ("p_up_avg", lambda gains: gains["buckets"][0].update(p_up_avg=99)),
 ])
 def test_json_reader_rejects_a_chart_off_its_bucket_rows(rate4_evaluation, key, edit):
     data = evaluation_to_dict(rate4_evaluation)
@@ -162,8 +164,43 @@ def test_json_reader_rejects_a_chart_off_its_bucket_rows(rate4_evaluation, key, 
 @pytest.mark.parametrize("key, row, edited", [
     ("bucket_count", "bucket_count,10", "bucket_count,3"),
     ("pop_approx", f"pop_approx,{float(Fraction(14600, 197))!r}", "pop_approx,12.5"),
+    ("pop_max_variant", f"pop_approx_max,{float(Fraction(15350, 197))!r}",
+     "pop_approx_max,12.5"),
+    ("p_up_avg", "10,10,0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,1000.0,0.0,1/10",
+     "10,10,0,0.0,0.0,99,0.0,0.0,0.0,0.0,1000.0,0.0,1/10"),
 ])
 def test_csv_reader_rejects_a_chart_off_its_bucket_rows(rate4_evaluation, key, row, edited):
+    text = render_combined_chart(rate4_evaluation, "csv")
+    assert f"\n{row}\n" in text
+    with pytest.raises(ValueError, match=key):
+        evaluation_from_csv(text.replace(f"\n{row}\n", f"\n{edited}\n"))
+
+
+# rate4_evaluation has a stretch target of 80 and a pop_exact of 77.9; its
+# profile lists the deciles, 10 % first.
+@pytest.mark.parametrize("key, edit", [
+    ("meets_stretch_target", lambda data: data.update(meets_stretch_target=True)),
+    ("stretch target", lambda data: data.update(stretch_target=150.0)),
+    ("cutoff", lambda data: data["beni_profile"].insert(1, data["beni_profile"][0])),
+    ("beni_profile", lambda data: data["beni_profile"].reverse()),
+    ("beni_profile", lambda data: data["beni_profile"].clear()),
+])
+def test_json_reader_rejects_an_evaluation_off_its_own_figures(rate4_evaluation, key, edit):
+    data = evaluation_to_dict(rate4_evaluation)
+    edit(data)
+    with pytest.raises(ValueError, match=key):
+        evaluation_from_dict(data)
+
+
+@pytest.mark.parametrize("key, row, edited", [
+    ("meets_stretch_target", "meets_stretch_target,false", "meets_stretch_target,true"),
+    ("stretch target", "stretch_target,80.0", "stretch_target,150.0"),
+    ("cutoff", "1/10,0.0,1000.0,0.0", "1/10,0.0,1000.0,0.0\n1/10,0.0,1000.0,0.0"),
+    ("beni_profile", "1/10,0.0,1000.0,0.0\n1/5,0.0,500.0,0.0",
+     "1/5,0.0,500.0,0.0\n1/10,0.0,1000.0,0.0"),
+])
+def test_csv_reader_rejects_an_evaluation_off_its_own_figures(rate4_evaluation, key, row,
+                                                              edited):
     text = render_combined_chart(rate4_evaluation, "csv")
     assert f"\n{row}\n" in text
     with pytest.raises(ValueError, match=key):
