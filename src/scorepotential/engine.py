@@ -78,7 +78,7 @@ class ModelEvaluation:
         if self.meets_stretch_target != _meets_target(self.pop_exact, self.stretch_target):
             raise ValueError("meets_stretch_target must be pop_exact >= stretch_target, "
                              "or null without a target")
-        cuts = [cut.fraction for cut in self.beni_profile]  # an order check, not a sort
+        cuts = [cut.fraction for cut in self.beni_profile]  # pairwise: cheaper than a sort
         if not cuts or any(a >= b for a, b in zip(cuts, cuts[1:])):
             raise ValueError("beni_profile must list at least one cut-off, in ascending order")
 
