@@ -117,26 +117,28 @@ class RankedSample:
     rank #X to the highest.  Within a tie group the order is already adjusted
     for the tie policy, so buckets and cut-offs can slice positionally.
     twice_ranks holds each rank doubled, as int64, so midranks (halves of
-    integers) stay exact integers.  records and ranks are rebuilt from the
-    columns only when read.
+    integers) stay exact integers.  ids is id_source in rank order, taken
+    through order where given; ids, records and ranks are built when read.
     """
 
-    ids: np.ndarray
+    id_source: Sequence[str]
     scores: np.ndarray
     responses: np.ndarray
     twice_ranks: np.ndarray
     tie_policy: TiePolicy = TiePolicy.MIDRANK
+    order: np.ndarray | None = None
 
     def __post_init__(self):
-        for name, dtype in (("ids", object), ("scores", np.float64),
-                            ("responses", np.bool_), ("twice_ranks", np.int64)):
+        for name, dtype in (("scores", np.float64), ("responses", np.bool_),
+                            ("twice_ranks", np.int64)):
             column = np.array(getattr(self, name), dtype=dtype)
             column.flags.writeable = False
             object.__setattr__(self, name, column)
-        n = len(self.ids)
+        n = len(self.scores)
         if n == 0:
             raise EmptySample()
-        if not n == len(self.scores) == len(self.responses) == len(self.twice_ranks):
+        if not (n == len(self.id_source) == len(self.responses) == len(self.twice_ranks)
+                and (self.order is None or len(self.order) == n)):
             raise ValueError("ids, scores, responses and ranks must be parallel")
         if not (self.scores[:-1] <= self.scores[1:]).all():
             raise ValueError("records must be ordered by ascending score")
@@ -145,7 +147,14 @@ class RankedSample:
 
     @property
     def size_x(self) -> int:
-        return len(self.ids)
+        return len(self.scores)
+
+    @cached_property
+    def ids(self) -> np.ndarray:
+        ids = np.fromiter(self.id_source, dtype=object, count=self.size_x)
+        ids = ids if self.order is None else ids[self.order]
+        ids.flags.writeable = False
+        return ids
 
     @cached_property
     def top_responders(self) -> np.ndarray:
@@ -205,10 +214,5 @@ def rank_sample(
     else:
         twice_ranks = np.arange(2, 2 * n + 1, 2)
 
-    return RankedSample(
-        np.array(columns.ids, dtype=object)[order],
-        scores,
-        columns.responses[order],
-        twice_ranks,
-        tie_policy,
-    )
+    return RankedSample(columns.ids, scores, columns.responses[order], twice_ranks, tie_policy,
+                        order)

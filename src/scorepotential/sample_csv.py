@@ -12,7 +12,8 @@ import csv
 import io
 import math
 from array import array
-from typing import Iterable, Iterator
+from functools import cached_property
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,29 +38,78 @@ def read_sample_columns(path) -> SampleColumns:
     """Read a sample CSV straight into columns, validating the full contract.
 
     The file is read once: the block reader takes the plain lines at the head
-    of a seekable file, and the strict reader, which alone judges bad input,
-    reads on from the first block not taken (a pipe, from the start).
+    of a seekable file and refuses a repeated id among them; the strict
+    reader, which alone judges other bad input, reads on from the first
+    block not taken (a pipe, from the start).
     """
-    ids: list[str] = []
-    seen: set[str] = set()
+    ids = _TakenIds()
     scores = array("d")  # raw doubles and bytes: no Python object per value
     responses = bytearray()
     with open(path, "rb") as handle:
-        taken = _read_plain(handle, ids, seen, scores, responses) if handle.seekable() else 0
-        _read_strict(handle, ids, seen, scores, responses, taken)
+        taken = _read_plain(handle, ids, scores, responses) if handle.seekable() else 0
+        ids.check_unique()
+        if handle.peek(1):  # lines left for the strict reader
+            ids = list(ids)
+            _read_strict(handle, ids, set(ids), scores, responses, taken)
     if not ids:
         raise EmptySample()
     return SampleColumns(ids, np.frombuffer(scores), np.frombuffer(responses, dtype=np.bool_))
 
 
-def _read_plain(handle, ids, seen, scores, responses) -> int:
+def _keys(block: bytes, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """A uint64 of each id block[start:end]'s length, first and last 8 bytes."""
+    # words[i] reads block[i - 8:i] as one integer; the shifts drop the bytes not the id's.
+    words = np.ndarray(len(block) + 9, "<u8", bytes(8) + block + bytes(8), strides=(1,))
+    shift = (64 - 8 * np.minimum(ends - starts, 8)).astype(np.uint64)
+    key = (ends - starts).astype(np.uint64)
+    for word in (words[starts + 8] << shift, words[ends] >> shift, 0):
+        key = (key ^ (key >> 30)) * 0xBF58476D1CE4E5B9  # the splitmix64 finaliser
+        key = (key ^ (key >> 27)) * 0x94D049BB133111EB
+        key = key ^ (key >> 31) ^ word
+    return key
+
+
+class _TakenIds(Sequence):
+    """The ids of the lines the block reader took, kept in its blocks' bytes until read."""
+
+    def __init__(self):
+        self.blocks, self.keys = [], []  # bytes, and the uint64 keys of their ids
+
+    def check_unique(self) -> None:
+        """Raise DuplicateId for the first id, in file order, that repeats an earlier one."""
+        keys = np.sort(np.concatenate([np.empty(0, np.uint64), *self.keys]))
+        if (keys[1:] == keys[:-1]).any():  # a repeat, or ids that share a key
+            seen = set()
+            for record_id in self:
+                if record_id in seen:
+                    raise DuplicateId(record_id)
+                seen.add(record_id)
+
+    @cached_property
+    def _list(self) -> list[str]:
+        return b"".join(self.blocks).decode("ascii").replace("\n", ",").split(",")[0:-1:3]
+
+    def __len__(self) -> int:
+        return sum(map(len, self.keys))
+
+    def __getitem__(self, index):
+        return self._list[index]
+
+    def __iter__(self):
+        return iter(self._list)
+
+    def __eq__(self, other) -> bool:
+        return self._list == other
+
+
+def _read_plain(handle, ids: _TakenIds, scores, responses) -> int:
     """Append the plain lines at the file's head, block by block; return how many.
 
     The count includes the header.  The reader stops at the first block that
     holds something for the strict reader to judge: a byte outside _PLAIN, a
     line without exactly two commas, a score that is not a finite '_'-free
-    float, a response other than 0 or 1, an empty or repeated id, a line over
-    the csv field limit, or no final newline; it leaves the handle at its start.
+    float, a response other than 0 or 1, an empty id, a line over the csv
+    field limit, or no final newline; it leaves the handle at its start.
     """
     if handle.readline(len(_HEADER_LINE)) != _HEADER_LINE.encode():
         handle.seek(0)
@@ -77,27 +127,26 @@ def _read_plain(handle, ids, seen, scores, responses) -> int:
         # byte, and that byte 0 or 1 (so not comma 2k+2): then line k holds
         # commas 2k and 2k+1 and no other.
         flags = codes[newlines - 1] - ord("0")
+        starts = np.append(0, newlines[:-1] + 1)
         if (len(commas) != 2 * len(newlines) or (newlines - commas[1::2] != 2).any()
-                or (flags > 1).any() or np.diff(newlines, prepend=-1).max() > limit + 1):
+                or (flags > 1).any() or (newlines - starts).max() > limit
+                or (commas[0::2] == starts).any()):  # an empty id
             break
-        fields = block.decode("ascii").replace("\n", ",").split(",")
-        block_ids = fields[0:-1:3]
-        score_texts = fields[1::3]
-        if not all(block_ids) or "_" in "".join(score_texts):
+        # Piece 2k+1 is line k's score; the others hold a response and the next id.
+        score_texts = block.decode("ascii").split(",")[1::2]
+        if "_" in "".join(score_texts):
             break
         try:
             block_scores = array("d", map(float, score_texts))
         except ValueError:
             break
-        seen.update(block_ids)
-        if (len(seen) != len(ids) + len(block_ids)
-                or not np.isfinite(np.frombuffer(block_scores)).all()):
-            seen.intersection_update(ids)  # drops the block's ids
+        if not np.isfinite(np.frombuffer(block_scores)).all():
             break
-        ids += block_ids
+        ids.blocks.append(block)
+        ids.keys.append(_keys(block, starts, commas[0::2]))
         scores += block_scores
         responses += flags.tobytes()
-        taken += len(block_ids)
+        taken += len(newlines)
     handle.seek(-len(block), io.SEEK_CUR)  # block is b"" at the end of the file
     return taken
 

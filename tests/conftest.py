@@ -236,11 +236,13 @@ def read_csv_bytes(data: bytes, block_reader: bool = True):
     strict reader reads on from there, as in read_sample_columns.  The outcome
     is the ids, score bytes and response bytes, or the error's class and text.
     """
-    ids, seen, scores, responses = [], set(), array("d"), bytearray()
+    ids, scores, responses = sample_csv._TakenIds(), array("d"), bytearray()
     handle = io.BytesIO(data)
-    taken = sample_csv._read_plain(handle, ids, seen, scores, responses) if block_reader else 0
+    taken = sample_csv._read_plain(handle, ids, scores, responses) if block_reader else 0
     try:
-        sample_csv._read_strict(handle, ids, seen, scores, responses, taken)
+        ids.check_unique()
+        ids = list(ids)
+        sample_csv._read_strict(handle, ids, set(ids), scores, responses, taken)
     except ToolkitError as err:
         return taken, (type(err), str(err))
     return taken, (ids, scores.tobytes(), bytes(responses))

@@ -14,14 +14,16 @@ from scorepotential import (
     EmptySample,
     MalformedRow,
     ScoredRecord,
+    TiePolicy,
     generate_sample,
     parse_sample_csv,
+    rank_sample,
     read_sample_columns,
     records_to_csv_text,
     write_sample_csv,
 )
 from scorepotential import sample_csv
-from tests.conftest import read_csv_bytes, ten_name_records
+from tests.conftest import read_csv_bytes, reference_rank, ten_name_records
 
 
 def _write(tmp_path, text):
@@ -245,7 +247,7 @@ def test_block_reader_takes_a_plain_file_as_the_strict_reader_does(tmp_path, mon
 
 def assert_block_reader_defers(path) -> None:
     """It takes no line past the header, so the strict reader starts at line 1 or 2."""
-    columns = ([], set(), array("d"), bytearray())
+    columns = (sample_csv._TakenIds(), array("d"), bytearray())
     with open(path, "rb") as handle:
         taken = sample_csv._read_plain(handle, *columns)
         assert (taken, handle.tell()) in [(0, 0), (1, len("id,score,response\n"))]
@@ -273,3 +275,60 @@ def test_block_reader_defers_a_line_over_the_csv_limit(tmp_path):
     assert_block_reader_defers(path)
     # The strict reader takes it: the id itself is inside the limit.
     assert len(parse_sample_csv(path)) == 1
+
+
+def _strict_reader_never_runs(*_):
+    raise AssertionError("the block reader was to take the whole file")
+
+
+def test_ids_that_share_a_key_load_and_a_repeat_is_named_in_file_order(tmp_path, monkeypatch):
+    # Every id gets the same key, so each file goes through the exact check.
+    monkeypatch.setattr(sample_csv, "_keys",
+                        lambda block, starts, ends: np.zeros(len(starts), np.uint64))
+    monkeypatch.setattr(sample_csv, "_read_strict", _strict_reader_never_runs)
+    monkeypatch.setattr(sample_csv, "BLOCK_BYTES", 12)
+    lines = ["id,score,response\n", "a,0.1,0\n", "b,0.2,1\n", "ab,0.3,0\n", "ba,0.4,1\n"]
+    assert read_sample_columns(_write(tmp_path, "".join(lines))).ids == ["a", "b", "ab", "ba"]
+    # b comes again (line 6) before ab does (line 7).
+    with pytest.raises(DuplicateId) as excinfo:
+        read_sample_columns(_write(tmp_path, "".join(lines) + "b,0.5,0\nab,0.6,1\n"))
+    assert excinfo.value.record_id == "b"
+
+
+def test_an_id_taken_in_a_block_and_repeated_after_a_quoted_line_is_a_duplicate(
+        tmp_path, monkeypatch):
+    monkeypatch.setattr(sample_csv, "BLOCK_BYTES", 1)  # a block a line
+    entries = []
+    read_strict = sample_csv._read_strict
+
+    def spy(handle, *columns_and_taken):
+        entries.append(columns_and_taken[-1])
+        read_strict(handle, *columns_and_taken)
+
+    monkeypatch.setattr(sample_csv, "_read_strict", spy)
+    path = _write(tmp_path, 'id,score,response\na,0.1,0\nb,0.2,1\n"c",0.3,0\na,0.4,0\n')
+    with pytest.raises(DuplicateId) as excinfo:
+        read_sample_columns(path)
+    assert excinfo.value.record_id == "a" and entries == [3]
+
+
+@pytest.mark.parametrize("policy", list(TiePolicy))
+def test_ids_taken_by_the_block_reader_read_as_the_strict_readers_list(tmp_path, monkeypatch,
+                                                                       policy):
+    records = [ScoredRecord(f"{'n' * (i % 11)}{i}", round(r.score, 1), r.response)
+               for i, r in enumerate(generate_sample(400, 0.1, 0.5, 3))]  # ties, varied lengths
+    path = tmp_path / "ties.csv"
+    write_sample_csv(records, path)
+    expected = [r.id for r in records]
+    assert read_csv_bytes(path.read_bytes(), block_reader=False)[1][0] == expected
+    monkeypatch.setattr(sample_csv, "_read_strict", _strict_reader_never_runs)
+    columns = read_sample_columns(path)
+    ids = columns.ids
+    assert ids == expected and expected == ids and ids != expected[1:] and len(ids) == 400
+    assert (ids[0], ids[-1], ids[7:300:9]) == (expected[0], expected[-1], expected[7:300:9])
+    assert list(ids) == expected and [*reversed(ids)] == expected[::-1]
+    ranked = rank_sample(columns, policy)
+    assert ranked.ids.tolist() == [r.id for r in reference_rank(records, policy)[0]]
+    with pytest.raises(ValueError):
+        ranked.ids[0] = ranked.ids[1]
+    assert ranked.records == rank_sample(records, policy).records

@@ -517,3 +517,23 @@ def test_block_reader_then_strict_reader_is_the_strict_reader(rows, seed, block_
         assert_block_then_strict_is_strict(b"".join(lines), must_take=True)
         for _ in range(20):
             assert_block_then_strict_is_strict(mutated(lines, rng))
+
+
+# Ids of 1 to 24 bytes over two letters; those of the second kind share their
+# first and last 8 bytes, so distinct ids of one length share a key.
+AB_IDS = st.text("ab", min_size=1, max_size=24) | st.text("ab", min_size=1, max_size=8).map(
+    lambda middle: f"aaaaaaaa{middle}bbbbbbbb")
+
+
+@given(ids=st.lists(AB_IDS, min_size=1, max_size=30),
+       repeat=st.none() | st.tuples(st.integers(0, 29), st.integers(0, 30)),
+       block_bytes=st.integers(1, 64))
+@settings(max_examples=200)
+def test_block_reader_finds_repeated_ids_as_the_strict_reader_does(ids, repeat, block_bytes):
+    # repeat copies one id to a later line.
+    if repeat is not None:
+        source, at = repeat[0] % len(ids), repeat[1] % (len(ids) + 1)
+        ids.insert(max(at, source + 1), ids[source])
+    data = "id,score,response\n" + "".join(f"{i},{n}.5,{n % 2}\n" for n, i in enumerate(ids))
+    with mock.patch.object(sample_csv, "BLOCK_BYTES", block_bytes):
+        assert_block_then_strict_is_strict(data.encode(), must_take=True)
