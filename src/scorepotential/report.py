@@ -70,10 +70,7 @@ def money_str(value: Fraction) -> str:
     """Decimal rendering of an exact money amount, half-up at two places."""
     dec = Decimal(value.numerator) / Decimal(value.denominator)
     dec = dec.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP) or Decimal(0)  # no "-0"
-    text = format(dec, "f")
-    if "." in text:
-        text = text.rstrip("0").rstrip(".")
-    return text
+    return format(dec.normalize(), "f")  # no trailing zeros
 
 
 def _table(headers: list[str], rows: list[list[str]]) -> list[str]:
@@ -102,10 +99,9 @@ def render_evaluation_text(evaluation: ModelEvaluation) -> str:
         "",
     ]
     lines.extend(_table(CHART_HEADERS, _chart_rows(chart)))
-    p_up_approx = sum(b.p_up_avg for b in chart.buckets)
     lines.extend([
         "",
-        f"P↑ = {unit_cell(p_up_approx)}",
+        f"P↑ = {unit_cell(sum(b.p_up_avg for b in chart.buckets))}",
         f"P↓ = {unit_cell(chart.p_down_chart)}",
         f"PoP = P↑/P↓ = {percent_cell(chart.pop_approx)}",
         "",
@@ -145,6 +141,7 @@ FIELD_COLUMNS = {"pop_min_variant": "pop_approx_min", "pop_max_variant": "pop_ap
 # (None: the value fills a section of its own).
 _Codec = namedtuple("_Codec", "dump load cell parse", defaults=(None,) * 4)
 
+_BOOLS = {"": None, "true": True, "false": False}  # the CSV cells of a bool | None
 _LEAF_CODECS = {
     str: _Codec(parse=str),
     int: _Codec(parse=int),
@@ -152,9 +149,10 @@ _LEAF_CODECS = {
     Fraction: _Codec(str, Fraction, parse=Fraction),
     float | None: _Codec(parse=lambda s: None if s == "" else float(s)),
     bool | None: _Codec(cell=lambda v: None if v is None else "true" if v else "false",
-                        parse=lambda s: None if s == "" else s == "true"),
-    frozenset[str]: _Codec(sorted, frozenset, lambda v: ";".join(sorted(v)),
-                           lambda s: frozenset(f for f in s.split(";") if f)),
+                        parse=lambda s: _BOOLS[_expect(s, s in _BOOLS, "true, false or empty")]),
+    frozenset[str]: _Codec(sorted, lambda v: frozenset(_expect(v, type(v) is list and all(
+                               type(f) is str for f in v), "a list of strings")),
+                           lambda v: ";".join(sorted(v)), lambda s: frozenset(s.split(";")) - {""}),
 }
 
 
@@ -212,6 +210,12 @@ def _once_each(pairs: list, name: str) -> dict:
     if len(mapping := dict(pairs)) != len(pairs):
         raise ValueError(f"a {name} is listed twice")
     return mapping
+
+
+def _expect(value, ok: bool, expected: str):
+    if not ok:
+        raise ValueError(f"expected {expected}, not {value!r}")
+    return value
 
 
 def _section(header: list[str], *owners: tuple[type, Callable]) -> list[tuple]:
@@ -302,9 +306,8 @@ def _rows(section: list[tuple], evaluation: ModelEvaluation):
     return zip(*(column(evaluation) for _, _, column in section))
 
 
-def evaluation_to_csv(
-    evaluation: ModelEvaluation, economics: CampaignEconomics | None = None
-) -> str:
+def evaluation_to_csv(evaluation: ModelEvaluation,
+                      economics: CampaignEconomics | None = None) -> str:
     meta, buckets, profile = _sections()
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
@@ -343,12 +346,10 @@ def evaluation_from_csv(text: str) -> ModelEvaluation:
     # Sections are runs of non-empty rows.
     sections = [list(rows) for filled, rows in groupby(csv.reader(io.StringIO(text)), bool)
                 if filled]
-    if len(sections) < 3:
-        raise ValueError("expected meta, bucket, and profile sections")
+    _expect(len(sections), len(sections) >= 3, "meta, bucket, and profile sections")
     meta_section, bucket_section, profile_section = _sections()
     for row in sections[0]:
-        if len(row) != 2:
-            raise ValueError(f"expected a meta row 'name,value', not {','.join(row)!r}")
+        _expect(",".join(row), len(row) == 2, "a meta row 'name,value'")
     # The meta rows, transposed, are a table of one row.
     meta = _read_table(list(zip(*sections[0])), meta_section)
     table = _read_table(sections[1], bucket_section)
@@ -366,9 +367,8 @@ def _render(fmt: str, value, text: Callable, to_dict: Callable, to_csv: Callable
     return renderers[fmt](value)
 
 
-def render_combined_chart(
-    evaluation: ModelEvaluation, fmt: str = "text", economics: CampaignEconomics | None = None
-) -> str:
+def render_combined_chart(evaluation: ModelEvaluation, fmt: str = "text",
+                          economics: CampaignEconomics | None = None) -> str:
     """Render one evaluation as the combined BenI/PoP document, followed by
     the campaign economics when they are given."""
     if economics is None:

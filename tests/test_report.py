@@ -207,6 +207,22 @@ def test_csv_reader_rejects_an_evaluation_off_its_own_figures(rate4_evaluation, 
         evaluation_from_csv(text.replace(f"\n{row}\n", f"\n{edited}\n"))
 
 
+def test_csv_reader_takes_a_stretch_verdict_only_as_true_false_or_empty(rate4_evaluation):
+    text = render_combined_chart(rate4_evaluation, "csv")
+    assert "\nmeets_stretch_target,false\n" in text
+    with pytest.raises(ValueError, match="banana"):
+        evaluation_from_csv(text.replace("\nmeets_stretch_target,false\n",
+                                         "\nmeets_stretch_target,banana\n"))
+
+
+@pytest.mark.parametrize("flags", ["ab", [1], {"a": 1}])
+def test_json_reader_takes_degeneracy_flags_only_as_a_list_of_strings(rate4_evaluation, flags):
+    data = evaluation_to_dict(rate4_evaluation)
+    assert evaluation_from_dict({**data, "degeneracy_flags": ["ab"]}).degeneracy_flags == {"ab"}
+    with pytest.raises(ValueError, match="a list of strings"):
+        evaluation_from_dict({**data, "degeneracy_flags": flags})
+
+
 def _repeat_model_id(lines):
     lines.insert(1, "model_id,other\n")
 
