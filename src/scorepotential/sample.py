@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, MutableSequence, Sequence
 
 import numpy as np
 
@@ -119,6 +119,8 @@ class RankedSample:
     twice_ranks holds each rank doubled, as int64, so midranks (halves of
     integers) stay exact integers.  ids is id_source in rank order, taken
     through order where given; ids, records and ranks are built when read.
+    A mutable id_source (a list or an array) is copied, so that a later
+    change to it does not reach the sample.
     """
 
     id_source: Sequence[str]
@@ -134,6 +136,8 @@ class RankedSample:
             column = np.array(getattr(self, name), dtype=dtype)
             column.flags.writeable = False
             object.__setattr__(self, name, column)
+        if isinstance(self.id_source, MutableSequence) or not isinstance(self.id_source, Sequence):
+            object.__setattr__(self, "id_source", tuple(self.id_source))
         n = len(self.scores)
         if n == 0:
             raise EmptySample()

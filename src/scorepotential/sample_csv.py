@@ -57,15 +57,20 @@ def read_sample_columns(path) -> SampleColumns:
 
 
 def _keys(block: bytes, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """A uint64 of each id block[start:end]'s length, first and last 8 bytes."""
-    # words[i] reads block[i - 8:i] as one integer; the shifts drop the bytes not the id's.
+    """A uint64 of each id block[start:end], mixed from its length and every 8 bytes of it."""
+    # words[i] reads block[i - 8:i] as one integer; the shift drops the bytes
+    # before an id shorter than 8.
     words = np.ndarray(len(block) + 9, "<u8", bytes(8) + block + bytes(8), strides=(1,))
-    shift = (64 - 8 * np.minimum(ends - starts, 8)).astype(np.uint64)
-    key = (ends - starts).astype(np.uint64)
-    for word in (words[starts + 8] << shift, words[ends] >> shift, 0):
-        key = (key ^ (key >> 30)) * 0xBF58476D1CE4E5B9  # the splitmix64 finaliser
-        key = (key ^ (key >> 27)) * 0x94D049BB133111EB
-        key = key ^ (key >> 31) ^ word
+    lengths = ends - starts
+    shift = (64 - 8 * np.minimum(lengths, 8)).astype(np.uint64)
+    key = lengths.astype(np.uint64)
+    # Round `at` mixes in bytes at..at+8 of each id longer than at (its last 8
+    # where fewer are left), then one round without bytes ends the id's key.
+    for at in range(0, int(lengths.max()) + 8, 8):
+        mixed = (key ^ (key >> 30)) * 0xBF58476D1CE4E5B9  # the splitmix64 finaliser
+        mixed = (mixed ^ (mixed >> 27)) * 0x94D049BB133111EB
+        word = np.where(lengths > at, words[np.minimum(starts + at, ends - 8) + 8] >> shift, 0)
+        key = np.where(lengths + 8 > at, mixed ^ (mixed >> 31) ^ word, key)
     return key
 
 
@@ -73,14 +78,16 @@ class _TakenIds(Sequence):
     """The ids of the lines the block reader took, kept in its blocks' bytes until read."""
 
     def __init__(self):
-        self.blocks, self.keys = [], []  # bytes, and the uint64 keys of their ids
+        self.blocks, self.keys, self.count = [], [], 0  # and the uint64 keys of the blocks' ids
 
     def check_unique(self) -> None:
         """Raise DuplicateId for the first id, in file order, that repeats an earlier one."""
         keys = np.sort(np.concatenate([np.empty(0, np.uint64), *self.keys]))
-        if (keys[1:] == keys[:-1]).any():  # a repeat, or ids that share a key
+        self.keys = None  # checked: the count answers len()
+        # Equal keys: a repeat, or distinct ids that share a key by chance.
+        if (keys[1:] == keys[:-1]).any() and len(set(self._list)) < self.count:
             seen = set()
-            for record_id in self:
+            for record_id in self._list:
                 if record_id in seen:
                     raise DuplicateId(record_id)
                 seen.add(record_id)
@@ -90,7 +97,7 @@ class _TakenIds(Sequence):
         return b"".join(self.blocks).decode("ascii").replace("\n", ",").split(",")[0:-1:3]
 
     def __len__(self) -> int:
-        return sum(map(len, self.keys))
+        return self.count
 
     def __getitem__(self, index):
         return self._list[index]
@@ -144,6 +151,7 @@ def _read_plain(handle, ids: _TakenIds, scores, responses) -> int:
             break
         ids.blocks.append(block)
         ids.keys.append(_keys(block, starts, commas[0::2]))
+        ids.count += len(newlines)
         scores += block_scores
         responses += flags.tobytes()
         taken += len(newlines)

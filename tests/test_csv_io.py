@@ -295,6 +295,17 @@ def test_ids_that_share_a_key_load_and_a_repeat_is_named_in_file_order(tmp_path,
     assert excinfo.value.record_id == "b"
 
 
+def test_ids_that_differ_only_in_the_middle_get_distinct_keys():
+    # Long ids that share their length and their first and last 8 bytes: the
+    # key reads every 8 bytes of an id, so none of them shares a key.
+    ids = [f"2024-01-15_{i:06d}_campaignA" for i in range(2000)] + ["a", "ab" * 20, "ab" * 4]
+    block = "".join(f"{i},0.5,1\n" for i in ids).encode()
+    codes = np.frombuffer(block, dtype=np.uint8)
+    starts = np.append(0, np.flatnonzero(codes == ord("\n"))[:-1] + 1)
+    ends = np.flatnonzero(codes == ord(","))[0::2]
+    assert len(set(sample_csv._keys(block, starts, ends).tolist())) == len(ids)
+
+
 def test_an_id_taken_in_a_block_and_repeated_after_a_quoted_line_is_a_duplicate(
         tmp_path, monkeypatch):
     monkeypatch.setattr(sample_csv, "BLOCK_BYTES", 1)  # a block a line

@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
 from scorepotential import (
@@ -520,9 +521,14 @@ def test_block_reader_then_strict_reader_is_the_strict_reader(rows, seed, block_
 
 
 # Ids of 1 to 24 bytes over two letters; those of the second kind share their
-# first and last 8 bytes, so distinct ids of one length share a key.
+# first and last 8 bytes.
 AB_IDS = st.text("ab", min_size=1, max_size=24) | st.text("ab", min_size=1, max_size=8).map(
     lambda middle: f"aaaaaaaa{middle}bbbbbbbb")
+
+
+def _length_key(block, starts, ends):
+    """A key of the id's length alone, so that distinct ids of one length share it."""
+    return (ends - starts).astype(np.uint64)
 
 
 @given(ids=st.lists(AB_IDS, min_size=1, max_size=30),
@@ -537,3 +543,5 @@ def test_block_reader_finds_repeated_ids_as_the_strict_reader_does(ids, repeat, 
     data = "id,score,response\n" + "".join(f"{i},{n}.5,{n % 2}\n" for n, i in enumerate(ids))
     with mock.patch.object(sample_csv, "BLOCK_BYTES", block_bytes):
         assert_block_then_strict_is_strict(data.encode(), must_take=True)
+        with mock.patch.object(sample_csv, "_keys", _length_key):
+            assert_block_then_strict_is_strict(data.encode(), must_take=True)

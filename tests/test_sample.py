@@ -146,6 +146,13 @@ def test_midranks_are_stored_doubled():
     assert sample.top_responders.tolist() == [0, 1, 1, 2, 2]
 
 
+def test_ranked_ids_do_not_follow_a_later_change_to_the_callers_list():
+    ids = ["a", "b", "c"]
+    ranked = rank_sample(SampleColumns(ids, [3.0, 1.0, 2.0], [True, False, False]))
+    ids[:] = ["x"]
+    assert ranked.ids.tolist() == ["b", "c", "a"] and ranked.records[2].id == "a"
+
+
 def test_ranked_sample_validates_its_columns():
     ids = np.array(["a", "b"], dtype=object)
     with pytest.raises(EmptySample):
