@@ -70,7 +70,10 @@ def money_str(value: Fraction) -> str:
     """Decimal rendering of an exact money amount, half-up at two places."""
     dec = Decimal(value.numerator) / Decimal(value.denominator)
     dec = dec.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP) or Decimal(0)  # no "-0"
-    return format(dec.normalize(), "f")  # no trailing zeros
+    text = format(dec, "f")
+    if "." in text:
+        text = text.rstrip("0").rstrip(".")
+    return text
 
 
 def _table(headers: list[str], rows: list[list[str]]) -> list[str]:
@@ -99,9 +102,10 @@ def render_evaluation_text(evaluation: ModelEvaluation) -> str:
         "",
     ]
     lines.extend(_table(CHART_HEADERS, _chart_rows(chart)))
+    p_up_approx = sum(b.p_up_avg for b in chart.buckets)
     lines.extend([
         "",
-        f"P↑ = {unit_cell(sum(b.p_up_avg for b in chart.buckets))}",
+        f"P↑ = {unit_cell(p_up_approx)}",
         f"P↓ = {unit_cell(chart.p_down_chart)}",
         f"PoP = P↑/P↓ = {percent_cell(chart.pop_approx)}",
         "",
@@ -306,8 +310,9 @@ def _rows(section: list[tuple], evaluation: ModelEvaluation):
     return zip(*(column(evaluation) for _, _, column in section))
 
 
-def evaluation_to_csv(evaluation: ModelEvaluation,
-                      economics: CampaignEconomics | None = None) -> str:
+def evaluation_to_csv(
+    evaluation: ModelEvaluation, economics: CampaignEconomics | None = None
+) -> str:
     meta, buckets, profile = _sections()
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
@@ -367,8 +372,9 @@ def _render(fmt: str, value, text: Callable, to_dict: Callable, to_csv: Callable
     return renderers[fmt](value)
 
 
-def render_combined_chart(evaluation: ModelEvaluation, fmt: str = "text",
-                          economics: CampaignEconomics | None = None) -> str:
+def render_combined_chart(
+    evaluation: ModelEvaluation, fmt: str = "text", economics: CampaignEconomics | None = None
+) -> str:
     """Render one evaluation as the combined BenI/PoP document, followed by
     the campaign economics when they are given."""
     if economics is None:
