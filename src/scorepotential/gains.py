@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -71,6 +72,22 @@ class GainsChart:
             raise ValueError("pop_approx must lie between pop_min_variant and pop_max_variant")
         if not all(b.p_up_min <= b.p_up_avg <= b.p_up_max for b in self.buckets):
             raise ValueError("each bucket's p_up_avg must lie between its p_up_min and p_up_max")
+        # The figures that follow from the bucket count and rows.
+        size, k = self.sample_size, sum(b.responders for b in self.buckets)
+        if size < 1 or size != sum(b.names for b in self.buckets):
+            raise ValueError("sample_size must be the sum of the buckets' names")
+        count = self.bucket_count
+        for name, derived in (("spacing", Fraction(count, size)), ("base_rate", Fraction(k, size)),
+                              ("p_down_chart", rank_sum_bounds(count, k, count, size)[0] / size),
+                              ("row_cutoffs", _row_cutoffs(count))):
+            if getattr(self, name) != derived:
+                raise ValueError(f"{name} must follow from the bucket count and rows")
+
+
+@lru_cache(maxsize=16)
+def _row_cutoffs(bucket_count: int) -> tuple[Fraction, ...]:
+    """The cut-offs 1/B, 2/B, ..., 1 of a chart's rows, one tuple per bucket count."""
+    return tuple(Fraction(row, bucket_count) for row in range(1, bucket_count + 1))
 
 
 def _bucket_bounds(bucket_no: int, responders: int, spacing) -> tuple[float, float]:
@@ -159,5 +176,5 @@ def build_gains_chart(sample: RankedSample, bucket_count: int) -> GainsChart:
         beni_max_cumulative=tuple(beni_max_cum),
         attainment_ratio=tuple(attainment),
         pop_cumulative=tuple(pop_cum),
-        row_cutoffs=tuple(Fraction(row, bucket_count) for row in range(1, bucket_count + 1)),
+        row_cutoffs=_row_cutoffs(bucket_count),
     )

@@ -15,7 +15,7 @@ from collections import namedtuple
 from dataclasses import fields, is_dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from itertools import groupby
 from json.encoder import encode_basestring_ascii as json_string
 from math import isfinite
@@ -78,8 +78,8 @@ def money_str(value: Fraction) -> str:
 
 def _table(headers: list[str], rows: list[list[str]]) -> list[str]:
     widths = [max(map(len, column)) for column in zip(headers, *rows)]
-    return ["  ".join(cell.rjust(width) for cell, width in zip(row, widths))
-            for row in (headers, *rows)]
+    template = "  ".join(f"%{width}s" for width in widths)  # each cell right-aligned
+    return [template % tuple(row) for row in (headers, *rows)]
 
 
 def _chart_rows(chart: GainsChart) -> list[list[str]]:
@@ -146,11 +146,15 @@ FIELD_COLUMNS = {"pop_min_variant": "pop_approx_min", "pop_max_variant": "pop_ap
 _Codec = namedtuple("_Codec", "dump load cell parse", defaults=(None,) * 4)
 
 _BOOLS = {"": None, "true": True, "false": False}  # the CSV cells of a bool | None
+# A chart's cut-off cells repeat in every document of its bucket count: each
+# is parsed once while it stays among the last few thousand (errors are not kept).
+_fraction = lru_cache(maxsize=4096)(Fraction)
 _LEAF_CODECS = {
     str: _Codec(parse=str),
     int: _Codec(parse=int),
     float: _Codec(parse=float),
-    Fraction: _Codec(str, Fraction, parse=Fraction),
+    Fraction: _Codec(str, lambda v: _fraction(_expect(v, type(v) is str, "a p/q string")),
+                     parse=_fraction),
     float | None: _Codec(parse=lambda s: None if s == "" else float(s)),
     bool | None: _Codec(cell=lambda v: None if v is None else "true" if v else "false",
                         parse=lambda s: _BOOLS[_expect(s, s in _BOOLS, "true, false or empty")]),
@@ -295,15 +299,33 @@ def _json(value, indent: str) -> str:
         items = [f"{json_string(key)}: {f(v) if (f := leaf(type(v))) else _json(v, inner)}"
                  for key, v in sorted(value.items())]
     elif type(value) in (list, tuple):
-        kinds = set(map(type, value))  # a list of one leaf type is written in one pass
-        f = leaf(kinds.pop()) if len(kinds) == 1 else None
-        items = list(map(f, value)) if f else [_json(v, inner) for v in value]
+        items = _items(value, inner)
     elif f := leaf(type(value)):
         return f(value)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
     start, end = "{}" if type(value) is dict else "[]"
     return f"{start}{inner}{(',' + inner).join(items)}{indent}{end}" if items else start + end
+
+
+def _items(values, indent: str) -> list[str]:
+    """The JSON of each of values, where indent starts each line.
+
+    A list of one leaf type is written in one pass, and a list of objects
+    with one key set a column at a time, into one template per list.
+    """
+    kinds = set(map(type, values))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if f := _JSON_LEAVES.get(kind):  # a finite sum: no float is NaN or +-inf
+        return list(map(float.__repr__ if kind is float and isfinite(sum(values)) else f, values))
+    if kind is dict and (keys := sorted(values[0])) and all(
+            v.keys() == values[0].keys() for v in values):
+        inner = indent + "  "
+        template = "{" + ",".join(f"{inner}{json_string(key).replace('%', '%%')}: %s"
+                                  for key in keys) + indent + "}"
+        columns = [_items(list(map(itemgetter(key), values)), inner) for key in keys]
+        return [template % row for row in zip(*columns)]
+    return [_json(v, indent) for v in values]
 
 
 def _rows(section: list[tuple], evaluation: ModelEvaluation):

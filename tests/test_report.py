@@ -153,6 +153,11 @@ def test_csv_reader_names_a_missing_meta_value(rate4_evaluation, replacement):
     ("pop_approx", lambda gains: gains["pop_cumulative"].__setitem__(-1, 12.5)),
     ("pop_max_variant", lambda gains: gains.update(pop_max_variant=12.5)),
     ("p_up_avg", lambda gains: gains["buckets"][0].update(p_up_avg=99)),
+    ("row_cutoffs", lambda gains: gains["row_cutoffs"].__setitem__(0, "1/3")),
+    ("spacing", lambda gains: gains.update(spacing="7/3")),
+    ("base_rate", lambda gains: gains.update(base_rate="1/2")),
+    ("sample_size", lambda gains: gains.update(sample_size=1000)),
+    ("p_down_chart", lambda gains: gains.update(p_down_chart=12.0)),
 ])
 def test_json_reader_rejects_a_chart_off_its_bucket_rows(rate4_evaluation, key, edit):
     data = evaluation_to_dict(rate4_evaluation)
@@ -168,6 +173,12 @@ def test_json_reader_rejects_a_chart_off_its_bucket_rows(rate4_evaluation, key, 
      "pop_approx_max,12.5"),
     ("p_up_avg", "10,10,0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,1000.0,0.0,1/10",
      "10,10,0,0.0,0.0,99,0.0,0.0,0.0,0.0,1000.0,0.0,1/10"),
+    ("row_cutoffs", "10,10,0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,1000.0,0.0,1/10",
+     "10,10,0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,1000.0,0.0,1/3"),
+    ("spacing", "spacing,1/10", "spacing,7/3"),
+    ("base_rate", "base_rate,1/25", "base_rate,1/2"),
+    ("sample_size", "sample_size,100", "sample_size,1000"),
+    ("p_down_chart", "p_down_chart,39.4", "p_down_chart,12.0"),
 ])
 def test_csv_reader_rejects_a_chart_off_its_bucket_rows(rate4_evaluation, key, row, edited):
     text = render_combined_chart(rate4_evaluation, "csv")
@@ -221,6 +232,49 @@ def test_json_reader_takes_degeneracy_flags_only_as_a_list_of_strings(rate4_eval
     assert evaluation_from_dict({**data, "degeneracy_flags": ["ab"]}).degeneracy_flags == {"ab"}
     with pytest.raises(ValueError, match="a list of strings"):
         evaluation_from_dict({**data, "degeneracy_flags": flags})
+
+
+# JSON numbers in Fraction fields; 0.5 is exactly the document's cut-off 1/2,
+# so only its type is wrong.
+@pytest.mark.parametrize("number, edit", [
+    (0.04, lambda data: data["gains"].update(base_rate=0.04)),
+    (0.5, lambda data: data["gains"]["row_cutoffs"].__setitem__(4, 0.5)),
+    (0.5, lambda data: data["beni_profile"][4].update(cutoff=0.5)),
+])
+def test_json_reader_takes_a_fraction_only_as_a_p_q_string(rate4_evaluation, number, edit):
+    data = evaluation_to_dict(rate4_evaluation)
+    edit(data)
+    with pytest.raises(ValueError, match=f"expected a p/q string, not {number}$"):
+        evaluation_from_dict(data)
+
+
+def test_loading_a_document_twice_gives_equal_evaluations(rate4_evaluation):
+    as_json = render_combined_chart(rate4_evaluation, "json")
+    as_csv = render_combined_chart(rate4_evaluation, "csv")
+    loads = [evaluation_from_dict(json.loads(as_json)) for _ in range(2)]
+    loads += [evaluation_from_csv(as_csv) for _ in range(2)]
+    assert all(loaded == rate4_evaluation for loaded in loads)
+
+
+def test_a_bad_fraction_cell_is_refused_on_every_load(rate4_evaluation):
+    text = render_combined_chart(rate4_evaluation, "csv").replace("\nspacing,1/10\n",
+                                                                  "\nspacing,1/x\n")
+    for _ in range(3):
+        with pytest.raises(ValueError, match="1/x"):
+            evaluation_from_csv(text)
+
+
+def test_an_edited_row_cutoff_is_refused_after_a_warm_load(rate4_evaluation):
+    data = evaluation_to_dict(rate4_evaluation)
+    assert evaluation_from_dict(json.loads(to_json(data))) == rate4_evaluation
+    data["gains"]["row_cutoffs"][3] = "1/3"
+    with pytest.raises(ValueError, match="row_cutoffs"):
+        evaluation_from_dict(data)
+
+
+def test_charts_of_one_bucket_count_share_their_row_cutoffs(rate4_evaluation, rate8_evaluation):
+    assert rate4_evaluation.gains.bucket_count == rate8_evaluation.gains.bucket_count
+    assert rate4_evaluation.gains.row_cutoffs is rate8_evaluation.gains.row_cutoffs
 
 
 def _repeat_model_id(lines):
@@ -391,11 +445,44 @@ def test_json_refuses_what_json_dumps_refuses():
 
 
 JSON_KEYS = st.text(max_size=6)
-JSON_LEAVES = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+ONE_LEAF_TYPE = [st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6)]
+JSON_LEAVES = st.one_of(ONE_LEAF_TYPE)
+# Keys that JSON escapes or a % template would read, and leaves of mixed types.
+SHARED_KEYS = st.text(st.sampled_from('%"\\é↑s') | st.characters(), max_size=4)
+MIXED_LEAVES = st.sampled_from([True, 1, 0, False, None, 1.5, math.nan, -math.inf, "1"])
+
+
+@st.composite
+def objects_sharing_keys(draw, values):
+    """A list of objects with one key set, written a column at a time; each
+    key's values are of one leaf type, mixed leaves, or any values."""
+    keys = draw(st.lists(SHARED_KEYS, unique=True, max_size=4))
+    count = draw(st.integers(0, 4))
+    columns = [draw(st.lists(draw(st.sampled_from([*ONE_LEAF_TYPE, MIXED_LEAVES, values])),
+                             min_size=count, max_size=count)) for _ in keys]
+    return [dict(zip(keys, row)) for row in zip(*columns)] if keys else [{}] * count
 
 
 @given(doc=st.dictionaries(JSON_KEYS, st.recursive(JSON_LEAVES, lambda inner: (
     st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
-    | st.dictionaries(JSON_KEYS, inner, max_size=4)), max_leaves=12), max_size=4))
+    | st.dictionaries(JSON_KEYS, inner, max_size=4) | objects_sharing_keys(inner)),
+    max_leaves=12), max_size=4))
 def test_json_writes_the_bytes_of_indented_json_dumps(doc):
     assert to_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_json_writes_a_list_of_objects_with_one_key_set_a_column_at_a_time():
+    doc = {"rows": [{"a%s": 1.5, '"': True, "é": [1, {"x": None}], "n": 1},
+                    {"a%s": math.nan, '"': 1, "é": [], "n": "1"}], "empty": [{}, {}],
+           "ragged": [[{"a": 1}, {"a": 2, "b": 3}], [{"a": 1, "b": 2}, {"a": 1}]]}
+    assert to_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@given(rows=st.lists(st.lists(st.text(st.sampled_from("%s↑' 1"), max_size=5),
+                              min_size=3, max_size=3), max_size=4))
+def test_table_pads_each_cell_as_rjust_does(rows):
+    headers = ["P'↑max", "%", "BenI'cum"]
+    widths = [max(map(len, column)) for column in zip(headers, *rows)]
+    assert report._table(headers, rows) == [
+        "  ".join(cell.rjust(width) for cell, width in zip(row, widths))
+        for row in (headers, *rows)]
