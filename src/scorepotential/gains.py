@@ -4,9 +4,9 @@ Ranks are rescaled to bucket units (rank * #B/#X), so positions run from
 just above 0 to #B.  Per bucket the responder rank sum is bracketed by the
 descending arithmetic row from the bucket top (max) and the ascending row
 from its bottom (min); the average of the two is the default approximation.
-Every column is a ratio of two Python ints (rank sums are held as #X times
-their value in bucket units), rounded once when it is stored, so printed
-tables reproduce the classic worked values digit for digit.
+Every column is a ratio of two ints (rank sums are held as #X times their
+value in bucket units), rounded once when it is stored, so printed tables
+reproduce the classic worked values digit for digit.
 """
 
 from __future__ import annotations
@@ -22,6 +22,10 @@ from .errors import IndivisibleBuckets, NoResponders
 from .metrics import benefit_index, ceiling_and_attainment, rank_sum_bounds
 from .rounding import to_fraction
 from .sample import RankedSample
+
+# Each chart operand is at most 200*k*X**2: below 2**53 it is an exact double in
+# int64 columns, where one division rounds as Python's int division; else Python ints.
+EXACT_INT64_BOUND = 2**53
 
 
 class Bucket(NamedTuple):
@@ -42,7 +46,8 @@ class GainsChart:
     """A full chart: buckets stored top-down (highest bucket number first).
 
     The cumulative tuples are aligned with ``buckets``; row i covers the top
-    i+1 buckets, i.e. the cut-off ``row_cutoffs[i]``.
+    i+1 buckets, i.e. the cut-off ``row_cutoffs[i]``.  Every figure follows
+    from sample_size and the buckets' responders, and is checked against them.
     """
 
     buckets: tuple[Bucket, ...]
@@ -61,27 +66,16 @@ class GainsChart:
     row_cutoffs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        for name in ("buckets", "beni_cumulative", "beni_max_cumulative", "attainment_ratio",
-                     "pop_cumulative", "row_cutoffs"):
-            if len(getattr(self, name)) != self.bucket_count:
-                raise ValueError(f"{name} must have bucket_count ({self.bucket_count}) entries")
-        if not self.pop_cumulative or self.pop_approx != self.pop_cumulative[-1]:
-            raise ValueError("pop_approx must equal the last pop_cumulative entry")
-        # Each is a ratio of ints, rounded once, so a built chart never fails these.
-        if not self.pop_min_variant <= self.pop_approx <= self.pop_max_variant:
-            raise ValueError("pop_approx must lie between pop_min_variant and pop_max_variant")
-        if not all(b.p_up_min <= b.p_up_avg <= b.p_up_max for b in self.buckets):
-            raise ValueError("each bucket's p_up_avg must lie between its p_up_min and p_up_max")
-        # The figures that follow from the bucket count and rows.
-        size, k = self.sample_size, sum(b.responders for b in self.buckets)
-        if size < 1 or size != sum(b.names for b in self.buckets):
-            raise ValueError("sample_size must be the sum of the buckets' names")
-        count = self.bucket_count
-        for name, derived in (("spacing", Fraction(count, size)), ("base_rate", Fraction(k, size)),
-                              ("p_down_chart", rank_sum_bounds(count, k, count, size)[0] / size),
-                              ("row_cutoffs", _row_cutoffs(count))):
-            if getattr(self, name) != derived:
-                raise ValueError(f"{name} must follow from the bucket count and rows")
+        count, size = len(self.buckets), self.sample_size
+        if not count or size < 1 or size % count:
+            raise ValueError("sample_size must be a positive multiple of the number of buckets")
+        responders = [b.responders for b in self.buckets]
+        if not all(0 <= r <= size // count for r in responders) or not any(responders):
+            raise ValueError("each bucket's responders must lie in [0, names], not all at 0")
+        stored = dict(zip(Bucket._fields, zip(*self.buckets)))
+        for name, rebuilt in _columns(size, responders).items():
+            if (stored[name] if name in stored else getattr(self, name)) != rebuilt:
+                raise ValueError(f"{name} must follow from sample_size and the responders")
 
 
 @lru_cache(maxsize=16)
@@ -132,49 +126,33 @@ def build_gains_chart(sample: RankedSample, bucket_count: int) -> GainsChart:
     size = sample.size_x
     if bucket_count < 1 or size % bucket_count != 0:
         raise IndivisibleBuckets(size, bucket_count)
-    k = sample.responders_k
-    if k == 0:
+    if sample.responders_k == 0:
         raise NoResponders()
-
-    names_per_bucket = size // bucket_count
-    # Rank sums are kept as size times their value in bucket units: ints.
-    p_down = rank_sum_bounds(bucket_count, k, bucket_count, size)[0]
-
     # Responders per bucket, walking buckets top-down (highest scores first).
-    responder_counts = np.diff(sample.top_responders[::names_per_bucket]).tolist()
+    columns = _columns(size, np.diff(sample.top_responders[::size // bucket_count]).tolist())
+    return GainsChart(tuple(map(Bucket, *map(columns.pop, Bucket._fields))), **columns)
 
-    buckets, beni_cum, beni_max_cum, attainment, pop_cum = [], [], [], [], []
-    sum_max = sum_min = cum_resp = cum_names = 0
-    for row, resp in enumerate(responder_counts):
-        bno = bucket_count - row
-        cum_resp += resp
-        cum_names += names_per_bucket
-        mx, mn = rank_sum_bounds(bno, resp, bucket_count, size)
-        sum_max += mx
-        sum_min += mn
-        buckets.append(Bucket(bno, names_per_bucket, resp, mx / size, mn / size,
-                              (mx + mn) / (2 * size),
-                              benefit_index(resp, names_per_bucket, k, size),
-                              100 * (mx + mn) / (2 * p_down)))
-        beni_cum.append(benefit_index(cum_resp, cum_names, k, size))
-        ceiling, attained = ceiling_and_attainment(cum_resp, cum_names, cum_names, size, k, size)
-        beni_max_cum.append(ceiling)
-        attainment.append(attained)
-        pop_cum.append(100 * (sum_max + sum_min) / (2 * p_down))
 
-    return GainsChart(
-        buckets=tuple(buckets),
-        bucket_count=bucket_count,
-        sample_size=size,
-        base_rate=sample.response_rate_r,
-        spacing=Fraction(bucket_count, size),
-        p_down_chart=p_down / size,
-        pop_approx=pop_cum[-1],
-        pop_min_variant=100 * sum_min / p_down,
-        pop_max_variant=100 * sum_max / p_down,
-        beni_cumulative=tuple(beni_cum),
-        beni_max_cumulative=tuple(beni_max_cum),
-        attainment_ratio=tuple(attainment),
-        pop_cumulative=tuple(pop_cum),
-        row_cutoffs=_row_cutoffs(bucket_count),
-    )
+def _columns(size: int, responders: list[int]) -> dict:
+    """Every field of a chart, each bucket field as a column, from its responders per bucket."""
+    count, k = len(responders), sum(responders)
+    names = size // count
+    dtype = np.int64 if 200 * k * size * size < EXACT_INT64_BOUND else object
+    bucket_no, resp = np.arange(count, 0, -1, dtype=dtype), np.array(responders, dtype=dtype)
+    hits, cum_names = np.cumsum(resp), names * np.arange(1, count + 1, dtype=dtype)
+    # Rank sums are kept as size times their value in bucket units: ints.
+    p_down = rank_sum_bounds(count, k, count, size)[0]
+    top, bottom = rank_sum_bounds(bucket_no, resp, count, size)
+    both = top + bottom  # twice the average of the bounds
+    ceiling, attainment = ceiling_and_attainment(hits, cum_names, cum_names, size, k, size)
+    columns = {name: tuple(column.tolist()) for name, column in dict(
+        bucket_no=bucket_no, names=np.full(count, names, dtype=dtype), responders=resp,
+        p_up_max=top / size, p_up_min=bottom / size, p_up_avg=both / (2 * size),
+        beni_marginal=benefit_index(resp, names, k, size), pop_marginal=100 * both / (2 * p_down),
+        beni_cumulative=benefit_index(hits, cum_names, k, size), beni_max_cumulative=ceiling,
+        attainment_ratio=attainment, pop_cumulative=100 * np.cumsum(both) / (2 * p_down)).items()}
+    return {**columns, "bucket_count": count, "sample_size": size,
+            "base_rate": Fraction(k, size), "spacing": Fraction(count, size),
+            "p_down_chart": p_down / size, "pop_approx": columns["pop_cumulative"][-1],
+            "pop_min_variant": 100 * int(bottom.sum()) / p_down,
+            "pop_max_variant": 100 * int(top.sum()) / p_down, "row_cutoffs": _row_cutoffs(count)}

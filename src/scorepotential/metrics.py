@@ -44,7 +44,8 @@ def ceiling_and_attainment(hits: int, names: int, cut_num: int, cut_den: int,
     The ceiling is 100/cut-off while the base rate is below the cut-off, and
     100/base-rate once the pass set could be all responders.
     """
-    reach = max(cut_num * size, responders * cut_den)  # cut_den*size times the larger
+    wide, rate = cut_num * size, responders * cut_den  # (a + b + |a - b|) // 2: max on arrays
+    reach = (wide + rate + abs(wide - rate)) // 2  # cut_den*size times the larger
     return (100 * cut_den * size / reach,
             100 * hits * reach / (names * responders * cut_den))
 

@@ -139,6 +139,16 @@ FIELD_COLUMNS = {"pop_min_variant": "pop_approx_min", "pop_max_variant": "pop_ap
                  "row_cutoffs": "row_cutoff", "fraction": "cutoff"}
 
 
+# A chart's cut-off cells repeat in every document of its bucket count: each
+# is parsed once while it stays among the last few thousand (errors are not kept).
+@lru_cache(maxsize=4096)
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"expected a p/q string with q > 0, not {text!r}") from None
+
+
 # dump/load: a value to and from JSON, None where the value is its own JSON;
 # cell: a value, or a tuple's item, to a CSV cell, None where csv.writer's own
 # str (repr for a float, "" for None) is the cell; parse: a CSV cell to a value
@@ -146,12 +156,9 @@ FIELD_COLUMNS = {"pop_min_variant": "pop_approx_min", "pop_max_variant": "pop_ap
 _Codec = namedtuple("_Codec", "dump load cell parse", defaults=(None,) * 4)
 
 _BOOLS = {"": None, "true": True, "false": False}  # the CSV cells of a bool | None
-# A chart's cut-off cells repeat in every document of its bucket count: each
-# is parsed once while it stays among the last few thousand (errors are not kept).
-_fraction = lru_cache(maxsize=4096)(Fraction)
 _LEAF_CODECS = {
     str: _Codec(parse=str),
-    int: _Codec(parse=int),
+    int: _Codec(load=lambda v: v if type(v) is int else _expect(v, False, "an integer"), parse=int),
     float: _Codec(parse=float),
     Fraction: _Codec(str, lambda v: _fraction(_expect(v, type(v) is str, "a p/q string")),
                      parse=_fraction),
@@ -196,18 +203,19 @@ def _codec(hint) -> _Codec:
     # after its dump, then reads and collects slower.
     names = [name for name, _, _ in _fields(hint)]
     read, get = attrgetter(*names), itemgetter(*names)
-    converted = [(i, c) for i, (_, _, c) in enumerate(_fields(hint)) if c.dump is not None]
+    dumped = [(i, c.dump) for i, (_, _, c) in enumerate(_fields(hint)) if c.dump is not None]
+    loaded = [(i, c.load) for i, (_, _, c) in enumerate(_fields(hint)) if c.load is not None]
 
     def dump(o) -> dict:
         values = list(read(o))
-        for i, c in converted:
-            values[i] = c.dump(values[i])
+        for i, convert in dumped:
+            values[i] = convert(values[i])
         return dict(zip(names, values))
 
     def load(doc: dict):
         values = list(get(doc))
-        for i, c in converted:
-            values[i] = c.load(values[i])
+        for i, convert in loaded:
+            values[i] = convert(values[i])
         return hint(*values)
 
     return _Codec(dump, load)

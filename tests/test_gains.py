@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -152,6 +153,24 @@ class TestChartInvariants:
         sample = rank_sample([ScoredRecord(f"n{i}", float(i), 0) for i in range(10)])
         with pytest.raises(NoResponders):
             build_gains_chart(sample, 5)
+
+    @pytest.mark.parametrize("key, edit", [
+        ("sample_size", lambda chart: {"buckets": ()}),
+        ("sample_size", lambda chart: {"sample_size": 0}),
+        ("sample_size", lambda chart: {"sample_size": -100}),
+        ("sample_size", lambda chart: {"sample_size": 105}),
+        ("responders", lambda chart: {"buckets": (
+            chart.buckets[0]._replace(responders=-1), *chart.buckets[1:])}),
+        ("responders", lambda chart: {"buckets": (
+            chart.buckets[0]._replace(responders=11), *chart.buckets[1:])}),
+        ("responders", lambda chart: {"buckets": tuple(
+            b._replace(responders=0) for b in chart.buckets)}),
+    ])
+    def test_a_chart_that_cannot_be_rebuilt_is_a_value_error(self, rate4_sample, key, edit):
+        chart = build_gains_chart(rate4_sample, 10)
+        with pytest.raises(ValueError, match=key) as refused:
+            dataclasses.replace(chart, **edit(chart))
+        assert type(refused.value) is ValueError
 
     def test_bucket_totals_cover_the_sample(self, rate8_sample):
         chart = build_gains_chart(rate8_sample, 10)

@@ -11,6 +11,7 @@ from fractions import Fraction
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from scorepotential import (
@@ -26,6 +27,7 @@ from scorepotential import (
     evaluation_from_csv,
     evaluation_from_dict,
     evaluation_to_csv,
+    gains,
     generate_columns,
     generate_sample,
     perfect_rank_sum,
@@ -332,6 +334,28 @@ def test_integer_chart_and_profile_keep_every_bit_of_the_fraction_oracles(
             reference_profile(sample, ctx.cutoffs_of_interest))
 
 
+@given(records=tied_score_records(min_size=1, max_size=48),
+       policy=st.sampled_from(list(TiePolicy)))
+def test_chart_on_python_int_columns_keeps_every_bit_of_the_fraction_oracle(records, policy):
+    sample = rank_sample(records, policy)
+    size = len(records)
+    with mock.patch.object(gains, "EXACT_INT64_BOUND", 0):  # every chart past the bound
+        for bucket_count in (b for b in range(1, size + 1) if size % b == 0):
+            assert float_bits(build_gains_chart(sample, bucket_count)) == float_bits(
+                reference_gains_chart(sample, bucket_count))
+
+
+# Past the bound, int64 columns happen to stay exact on the first chart; on
+# the second they would round one attainment_ratio off the oracle.
+@pytest.mark.parametrize("size, bucket_count", [(50_000, 1000), (399_999, 3)])
+def test_a_chart_past_the_int64_bound_keeps_every_bit_of_the_fraction_oracle(size,
+                                                                            bucket_count):
+    sample = rank_sample(generate_columns(size, Fraction(1, 2), 0.8, 11))
+    assert 200 * sample.responders_k * size**2 >= gains.EXACT_INT64_BOUND
+    assert float_bits(build_gains_chart(sample, bucket_count)) == float_bits(
+        reference_gains_chart(sample, bucket_count))
+
+
 @given(records=pooled_score_records(min_size=2))
 def test_auc_equals_the_pairwise_count(records):
     assume(0 < sum(r.response for r in records) < len(records))
@@ -429,7 +453,9 @@ def test_csv_writer_matches_the_reference_loop(records):
        .filter(lambda r: r > 0),
        quality=st.floats(0, 1),
        seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=60)
+# Its largest examples (3 000 rows) took up to 80 ms on a 2-vCPU VM, so the
+# default 200 ms deadline fails a host 3x slower; 1 s leaves room for 12x.
+@settings(max_examples=60, deadline=1000)
 def test_columnar_generator_matches_the_reference_loop(size, rate, quality, seed):
     columns = generate_columns(size, rate, quality, seed)
     expected = reference_generate_sample(size, rate, quality, seed)

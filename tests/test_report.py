@@ -146,11 +146,17 @@ def test_csv_reader_names_a_missing_meta_value(rate4_evaluation, replacement):
         evaluation_from_csv("".join(lines))
 
 
+def _move_a_responder(source: dict, target: dict):
+    """One responder moved between two buckets, every other figure left as it was."""
+    source["responders"] -= 1
+    target["responders"] += 1
+
+
 @pytest.mark.parametrize("key, edit", [
     ("bucket_count", lambda gains: gains.update(bucket_count=3)),
     ("beni_cumulative", lambda gains: gains["beni_cumulative"].pop()),
     ("pop_approx", lambda gains: gains.update(pop_approx=12.5)),
-    ("pop_approx", lambda gains: gains["pop_cumulative"].__setitem__(-1, 12.5)),
+    ("pop_cumulative", lambda gains: gains["pop_cumulative"].__setitem__(-1, 12.5)),
     ("pop_max_variant", lambda gains: gains.update(pop_max_variant=12.5)),
     ("p_up_avg", lambda gains: gains["buckets"][0].update(p_up_avg=99)),
     ("row_cutoffs", lambda gains: gains["row_cutoffs"].__setitem__(0, "1/3")),
@@ -158,12 +164,24 @@ def test_csv_reader_names_a_missing_meta_value(rate4_evaluation, replacement):
     ("base_rate", lambda gains: gains.update(base_rate="1/2")),
     ("sample_size", lambda gains: gains.update(sample_size=1000)),
     ("p_down_chart", lambda gains: gains.update(p_down_chart=12.0)),
+    ("beni_marginal", lambda gains: gains["buckets"][2].update(beni_marginal=700.0)),
+    ("p_up_max", lambda gains: gains["buckets"][0].update(p_up_max=99.0)),
+    ("pop_marginal", lambda gains: gains["buckets"][2].update(pop_marginal=50.0)),
+    ("bucket_no", lambda gains: gains["buckets"][0].update(bucket_no=1)),
+    ("beni_cumulative", lambda gains: gains["beni_cumulative"].__setitem__(4, 199.0)),
+    ("attainment_ratio", lambda gains: gains["attainment_ratio"].__setitem__(2, 80.0)),
+    ("p_up_max", lambda gains: _move_a_responder(gains["buckets"][2], gains["buckets"][3])),
 ])
 def test_json_reader_rejects_a_chart_off_its_bucket_rows(rate4_evaluation, key, edit):
     data = evaluation_to_dict(rate4_evaluation)
     edit(data["gains"])
     with pytest.raises(ValueError, match=key):
         evaluation_from_dict(data)
+
+
+RATE4_ROW8 = ("8,10,3,23.7,21.6,22.65,57.48730964467005,57.48730964467005,750.0,250.0,"
+              "333.3333333333333,75.0,3/10")
+RATE4_ROW7 = "7,10,1,7.0,6.1,6.55,16.624365482233504,74.11167512690355,250.0,250.0,250.0,100.0,2/5"
 
 
 @pytest.mark.parametrize("key, row, edited", [
@@ -179,6 +197,17 @@ def test_json_reader_rejects_a_chart_off_its_bucket_rows(rate4_evaluation, key, 
     ("base_rate", "base_rate,1/25", "base_rate,1/2"),
     ("sample_size", "sample_size,100", "sample_size,1000"),
     ("p_down_chart", "p_down_chart,39.4", "p_down_chart,12.0"),
+    ("beni_marginal", RATE4_ROW8, RATE4_ROW8.replace(",750.0,", ",700.0,")),
+    ("p_up_max", "10,10,0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,1000.0,0.0,1/10",
+     "10,10,0,99.0,0.0,0.0,0.0,0.0,0.0,0.0,1000.0,0.0,1/10"),
+    ("pop_marginal", RATE4_ROW8, RATE4_ROW8.replace(",57.48730964467005,5", ",50.0,5")),
+    ("bucket_no", "10,10,0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,1000.0,0.0,1/10",
+     "1,10,0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,1000.0,0.0,1/10"),
+    ("beni_cumulative", "6,10,0,0.0,0.0,0.0,0.0,74.11167512690355,0.0,200.0,200.0,100.0,1/2",
+     "6,10,0,0.0,0.0,0.0,0.0,74.11167512690355,0.0,199.0,200.0,100.0,1/2"),
+    ("attainment_ratio", RATE4_ROW8, RATE4_ROW8.replace(",75.0,", ",80.0,")),
+    ("p_up_max", f"{RATE4_ROW8}\n{RATE4_ROW7}",  # one responder moved from bucket 8 to 7
+     f"{RATE4_ROW8.replace('8,10,3,', '8,10,2,')}\n{RATE4_ROW7.replace('7,10,1,', '7,10,2,')}"),
 ])
 def test_csv_reader_rejects_a_chart_off_its_bucket_rows(rate4_evaluation, key, row, edited):
     text = render_combined_chart(rate4_evaluation, "csv")
@@ -248,6 +277,20 @@ def test_json_reader_takes_a_fraction_only_as_a_p_q_string(rate4_evaluation, num
         evaluation_from_dict(data)
 
 
+# JSON values in int fields; True is 1 to Python, so only its type is wrong.
+@pytest.mark.parametrize("value, edit", [
+    ("10.0", lambda gains: gains.update(bucket_count=10.0)),
+    ("0.0", lambda gains: gains["buckets"][0].update(responders=0.0)),
+    ("'10'", lambda gains: gains["buckets"][0].update(names="10")),
+    ("True", lambda gains: gains["buckets"][-1].update(bucket_no=True)),
+])
+def test_json_reader_takes_an_int_field_only_as_an_integer(rate4_evaluation, value, edit):
+    data = evaluation_to_dict(rate4_evaluation)
+    edit(data["gains"])
+    with pytest.raises(ValueError, match=f"expected an integer, not {value}$"):
+        evaluation_from_dict(data)
+
+
 def test_loading_a_document_twice_gives_equal_evaluations(rate4_evaluation):
     as_json = render_combined_chart(rate4_evaluation, "json")
     as_csv = render_combined_chart(rate4_evaluation, "csv")
@@ -262,6 +305,19 @@ def test_a_bad_fraction_cell_is_refused_on_every_load(rate4_evaluation):
     for _ in range(3):
         with pytest.raises(ValueError, match="1/x"):
             evaluation_from_csv(text)
+    # A zero denominator, in either reader's spacing and in a profile cut-off.
+    as_csv = render_combined_chart(rate4_evaluation, "csv")
+    data = evaluation_to_dict(rate4_evaluation)
+    assert "\n1/10,0.0," in as_csv
+    loads = [
+        lambda: evaluation_from_csv(as_csv.replace("\nspacing,1/10\n", "\nspacing,1/0\n")),
+        lambda: evaluation_from_csv(as_csv.replace("\n1/10,0.0,", "\n1/0,0.0,")),
+        lambda: evaluation_from_dict({**data, "gains": {**data["gains"], "spacing": "1/0"}}),
+    ]
+    for load in loads:
+        for _ in range(3):
+            with pytest.raises(ValueError, match="1/0"):
+                load()
 
 
 def test_an_edited_row_cutoff_is_refused_after_a_warm_load(rate4_evaluation):
