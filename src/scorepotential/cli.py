@@ -154,7 +154,7 @@ def _economics_from_args(args, parser: argparse.ArgumentParser) -> CampaignEcono
 
 
 def _evaluate_path(args, path: Path) -> ModelEvaluation:
-    sample = rank_sample(parse_sample_csv(path), TiePolicy(args.ties))
+    sample = rank_sample(parse_sample_csv(path), args.ties)
     ctx = EvaluationContext(
         sample=sample,
         bucket_count=args.buckets,

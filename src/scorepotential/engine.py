@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
@@ -85,15 +85,26 @@ class ModelEvaluation:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Deterministic ranking of a batch of evaluations.
+    """Deterministic ranking of a batch of evaluations, stored in ranking order.
 
-    evaluations are stored in ranking order so that serializations of the
-    same batch are byte-identical no matter the evaluation order.
+    By exact score potential, descending; ties break by chart approximation,
+    then model id, so reports of the same batch are byte-identical in any order.
     """
 
     evaluations: tuple[ModelEvaluation, ...]
-    ranking: tuple[str, ...]
-    below_target: tuple[str, ...]
+    ranking: tuple[str, ...] = field(init=False)
+    below_target: tuple[str, ...] = field(init=False)
+
+    def __post_init__(self):
+        if not self.evaluations:
+            raise EmptyBatch()
+        ordered = tuple(sorted(self.evaluations,
+                               key=lambda e: (-e.pop_exact, -e.gains.pop_approx, e.model_id)))
+        ranking = tuple(e.model_id for e in ordered)
+        if len(set(ranking)) != len(ranking):
+            raise ValueError("model ids in a batch must be unique")
+        below = tuple(e.model_id for e in ordered if e.meets_stretch_target is False)
+        vars(self).update(evaluations=ordered, ranking=ranking, below_target=below)
 
 
 def evaluate_model(ctx: EvaluationContext, model_id: str) -> ModelEvaluation:
@@ -131,20 +142,8 @@ def evaluate_model(ctx: EvaluationContext, model_id: str) -> ModelEvaluation:
 
 
 def compare_models(evals: Sequence[ModelEvaluation]) -> ComparisonReport:
-    """Rank evaluations by exact score potential, descending.
-
-    Ties break by chart approximation, then model id; identical inputs give
-    identical reports regardless of evaluation order.
-    """
-    if not evals:
-        raise EmptyBatch()
-    ids = [e.model_id for e in evals]
-    if len(set(ids)) != len(ids):
-        raise ValueError("model ids in a batch must be unique")
-    ordered = tuple(sorted(evals, key=lambda e: (-e.pop_exact, -e.gains.pop_approx, e.model_id)))
-    ranking = tuple(e.model_id for e in ordered)
-    below = tuple(e.model_id for e in ordered if e.meets_stretch_target is False)
-    return ComparisonReport(evaluations=ordered, ranking=ranking, below_target=below)
+    """Rank evaluations by exact score potential, descending (see ComparisonReport)."""
+    return ComparisonReport(tuple(evals))
 
 
 def generate_columns(size: int, base_rate, quality: float, seed: int) -> SampleColumns:

@@ -15,7 +15,7 @@ from collections import namedtuple
 from dataclasses import fields, is_dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 from itertools import groupby
 from json.encoder import encode_basestring_ascii as json_string
 from math import isfinite
@@ -149,24 +149,26 @@ def _fraction(text: str) -> Fraction:
         raise ValueError(f"expected a p/q string with q > 0, not {text!r}") from None
 
 
+# kinds: each exact JSON type that load takes, with its name for an error;
 # dump/load: a value to and from JSON, None where the value is its own JSON;
 # cell: a value, or a tuple's item, to a CSV cell, None where csv.writer's own
 # str (repr for a float, "" for None) is the cell; parse: a CSV cell to a value
 # (None: the value fills a section of its own).
-_Codec = namedtuple("_Codec", "dump load cell parse", defaults=(None,) * 4)
+_Codec = namedtuple("_Codec", "kinds dump load cell parse", defaults=(None,) * 4)
 
+_FLOAT, _NULL = {float: "a float"}, {type(None): "null"}
 _BOOLS = {"": None, "true": True, "false": False}  # the CSV cells of a bool | None
 _LEAF_CODECS = {
-    str: _Codec(parse=str),
-    int: _Codec(load=lambda v: v if type(v) is int else _expect(v, False, "an integer"), parse=int),
-    float: _Codec(parse=float),
-    Fraction: _Codec(str, lambda v: _fraction(_expect(v, type(v) is str, "a p/q string")),
-                     parse=_fraction),
-    float | None: _Codec(parse=lambda s: None if s == "" else float(s)),
-    bool | None: _Codec(cell=lambda v: None if v is None else "true" if v else "false",
+    str: _Codec({str: "a string"}, parse=str),
+    int: _Codec({int: "an integer"}, parse=int),
+    float: _Codec(_FLOAT, parse=float),
+    Fraction: _Codec({str: "a p/q string"}, str, _fraction, parse=_fraction),
+    float | None: _Codec(_FLOAT | _NULL, parse=lambda s: None if s == "" else float(s)),
+    bool | None: _Codec({bool: "true, false"} | _NULL,
+                        cell=lambda v: None if v is None else "true" if v else "false",
                         parse=lambda s: _BOOLS[_expect(s, s in _BOOLS, "true, false or empty")]),
-    frozenset[str]: _Codec(sorted, lambda v: frozenset(_expect(v, type(v) is list and all(
-                               type(f) is str for f in v), "a list of strings")),
+    frozenset[str]: _Codec({list: "a list of strings"}, sorted, lambda v: frozenset(_expect(
+                               v, all(type(f) is str for f in v), "a list of strings")),
                            lambda v: ";".join(sorted(v)), lambda s: frozenset(s.split(";")) - {""}),
 }
 
@@ -186,25 +188,33 @@ def _codec(hint) -> _Codec:
     args = get_args(hint)
     if get_origin(hint) is tuple:  # tuple[X, ...]: a JSON list; in CSV, a table column
         item = _codec(args[0])
-        return _Codec(list if item.dump is None else lambda v: list(map(item.dump, v)),
-                      tuple if item.load is None else lambda v: tuple(map(item.load, v)),
-                      item.cell, item.parse)
+
+        def load_items(values: list) -> tuple:
+            if not item.kinds.keys() >= set(map(type, values)):
+                return tuple(_take(item, v) for v in values)  # refuses the first of a wrong kind
+            return tuple(values) if item.load is None else tuple(map(item.load, values))
+
+        return _Codec({list: "a list"}, list if item.dump is None else lambda v: list(map(
+            item.dump, v)), load_items, item.cell, item.parse)
     if get_origin(hint) is dict:  # dict[K, V]: a list of V objects, each with K's one field
         ((key_field, _, key),) = _fields(args[0])
         name, value = FIELD_COLUMNS.get(key_field, key_field), _codec(args[1])
-        return _Codec(
-            lambda m: [{name: key.dump(getattr(k, key_field)), **value.dump(v)}
-                       for k, v in m.items()],
-            lambda entries: _once_each([(args[0](key.load(e[name])), value.load(e))
-                                        for e in entries], name))
+        return _Codec({list: "a list"},
+                      lambda m: [{name: key.dump(getattr(k, key_field)), **value.dump(v)}
+                                 for k, v in m.items()],
+                      lambda entries: _once_each([(args[0](_take(key, e[name])), _take(value, e))
+                                                  for e in entries], name))
     # A dataclass or NamedTuple: a JSON object of its fields, of which only
-    # those with a dump are converted.  vars(o) would copy faster, but it
-    # gives the object a __dict__ of its own, and the evaluation, read again
-    # after its dump, then reads and collects slower.
-    names = [name for name, _, _ in _fields(hint)]
+    # those with a dump or load are converted; a field of its first kind needs
+    # no check.  vars(o) would copy faster, but it gives the object a __dict__
+    # of its own, and the evaluation, read again after its dump, then reads
+    # and collects slower.
+    names, _, codecs = zip(*_fields(hint))
     read, get = attrgetter(*names), itemgetter(*names)
-    dumped = [(i, c.dump) for i, (_, _, c) in enumerate(_fields(hint)) if c.dump is not None]
-    loaded = [(i, c.load) for i, (_, _, c) in enumerate(_fields(hint)) if c.load is not None]
+    dumped = [(i, c.dump) for i, c in enumerate(codecs) if c.dump is not None]
+    usual = tuple(next(iter(c.kinds)) for c in codecs)
+    loaded = [(i, c.load) for i, c in enumerate(codecs) if c.load is not None]
+    taken = [(i, partial(_take, c)) for i, c in enumerate(codecs)]
 
     def dump(o) -> dict:
         values = list(read(o))
@@ -214,11 +224,20 @@ def _codec(hint) -> _Codec:
 
     def load(doc: dict):
         values = list(get(doc))
-        for i, convert in loaded:
-            values[i] = convert(values[i])
+        for i, convert in loaded if tuple(map(type, values)) == usual else taken:
+            try:
+                values[i] = convert(values[i])
+            except ValueError as err:  # named by its path of fields: "gains: buckets: ..."
+                raise ValueError(f"{names[i]}: {err}") from None
         return hint(*values)
 
-    return _Codec(dump, load)
+    return _Codec({dict: "an object"}, dump, load)
+
+
+def _take(codec: _Codec, value):
+    """value loaded by the codec, which takes it only as one of its JSON kinds."""
+    _expect(value, type(value) in codec.kinds, " or ".join(codec.kinds.values()))
+    return value if codec.load is None else codec.load(value)
 
 
 def _once_each(pairs: list, name: str) -> dict:

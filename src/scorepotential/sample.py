@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -111,43 +111,49 @@ class SampleColumns:
 
 @dataclass(frozen=True, eq=False)
 class RankedSample:
-    """A test sample ordered by ascending score, held as read-only columns.
+    """A sample ranked by ascending score under a tie policy, as read-only columns.
 
     Position p holds rank p+1's record: rank 1 belongs to the lowest score,
-    rank #X to the highest.  Within a tie group the order is already adjusted
-    for the tie policy, so buckets and cut-offs can slice positionally.
-    twice_ranks holds each rank doubled, as int64, so midranks (halves of
-    integers) stay exact integers.  ids is id_source in rank order, taken
-    through order where given; ids, records and ranks are built when read.
-    A mutable id_source (a list or an array) is copied, so that a later
-    change to it does not reach the sample.
+    rank #X to the highest.  Stable sorts keep input order within a tie group
+    before the policy moves its responders to the group's low or high end, so
+    buckets and cut-offs slice positionally.  twice_ranks holds each rank
+    doubled, as int64, so midranks stay exact integers.  ids (id_source
+    through order, the permutation into rank order), records and ranks are
+    built when read.  A mutable id_source (a list or an array) is copied.
     """
 
-    id_source: Sequence[str]
-    scores: np.ndarray
-    responses: np.ndarray
-    twice_ranks: np.ndarray
+    sample: InitVar[SampleColumns]
     tie_policy: TiePolicy = TiePolicy.MIDRANK
-    order: np.ndarray | None = None
+    id_source: Sequence[str] = field(init=False)
+    scores: np.ndarray = field(init=False)
+    responses: np.ndarray = field(init=False)
+    twice_ranks: np.ndarray = field(init=False)
+    order: np.ndarray = field(init=False)
 
-    def __post_init__(self):
-        for name, dtype in (("scores", np.float64), ("responses", np.bool_),
-                            ("twice_ranks", np.int64)):
-            column = np.array(getattr(self, name), dtype=dtype)
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
-        if isinstance(self.id_source, MutableSequence) or not isinstance(self.id_source, Sequence):
-            object.__setattr__(self, "id_source", tuple(self.id_source))
-        n = len(self.scores)
+    def __post_init__(self, sample: SampleColumns):
+        tie_policy, n = TiePolicy(self.tie_policy), len(sample)
         if n == 0:
             raise EmptySample()
-        if not (n == len(self.id_source) == len(self.responses) == len(self.twice_ranks)
-                and (self.order is None or len(self.order) == n)):
-            raise ValueError("ids, scores, responses and ranks must be parallel")
-        if not (self.scores[:-1] <= self.scores[1:]).all():
-            raise ValueError("records must be ordered by ascending score")
-        if int(self.twice_ranks.sum()) != n * (n + 1):
-            raise ValueError("rank sum must equal #X(#X+1)/2")
+        if tie_policy is TiePolicy.MIDRANK:
+            order = np.argsort(sample.scores, kind="stable")
+            scores = sample.scores[order]
+            # A tie group over positions i..j shares the midrank (i+1 + j+1)/2.
+            starts = np.flatnonzero(np.concatenate(([True], scores[1:] != scores[:-1])))
+            ends = np.append(starts[1:], n) - 1
+            twice_ranks = np.repeat(starts + ends + 2, ends - starts + 1)
+        else:
+            key = sample.responses if tie_policy is TiePolicy.OPTIMISTIC else ~sample.responses
+            order = np.lexsort((key, sample.scores))
+            scores = sample.scores[order]
+            twice_ranks = np.arange(2, 2 * n + 1, 2, dtype=np.int64)
+        responses = sample.responses[order]
+        for column in (scores, responses, twice_ranks, order):
+            column.flags.writeable = False
+        copy = isinstance(sample.ids, MutableSequence) or not isinstance(sample.ids, Sequence)
+        id_source = tuple(sample.ids) if copy else sample.ids
+        # Frozen: set the derived fields past __setattr__.
+        vars(self).update(tie_policy=tie_policy, id_source=id_source, scores=scores,
+                          responses=responses, twice_ranks=twice_ranks, order=order)
 
     @property
     def size_x(self) -> int:
@@ -155,8 +161,7 @@ class RankedSample:
 
     @cached_property
     def ids(self) -> np.ndarray:
-        ids = np.fromiter(self.id_source, dtype=object, count=self.size_x)
-        ids = ids if self.order is None else ids[self.order]
+        ids = np.fromiter(self.id_source, dtype=object, count=self.size_x)[self.order]
         ids.flags.writeable = False
         return ids
 
@@ -193,30 +198,6 @@ def rank_sample(
     sample: SampleColumns | Iterable[ScoredRecord],
     tie_policy: TiePolicy = TiePolicy.MIDRANK,
 ) -> RankedSample:
-    """Rank a sample ascending by score, resolving ties per the given policy.
-
-    Takes columns, or records whose columns are extracted first.  The sorts
-    are stable, so input order is preserved within tie groups (before the
-    policy moves responders), which makes ranking deterministic for repeated
-    runs.
-    """
+    """Rank columns, or records taken to columns first, by ascending score (RankedSample)."""
     columns = sample if isinstance(sample, SampleColumns) else SampleColumns.from_records(sample)
-    n = len(columns)
-    if tie_policy is TiePolicy.MIDRANK:
-        order = np.argsort(columns.scores, kind="stable")
-    elif tie_policy is TiePolicy.PESSIMISTIC:
-        order = np.lexsort((~columns.responses, columns.scores))
-    else:
-        order = np.lexsort((columns.responses, columns.scores))
-    scores = columns.scores[order]
-
-    if tie_policy is TiePolicy.MIDRANK:
-        # A tie group over positions i..j shares the midrank (i+1 + j+1)/2.
-        starts = np.flatnonzero(np.concatenate(([True], scores[1:] != scores[:-1])))
-        ends = np.append(starts[1:], n) - 1
-        twice_ranks = np.repeat(starts + ends + 2, ends - starts + 1)
-    else:
-        twice_ranks = np.arange(2, 2 * n + 1, 2)
-
-    return RankedSample(columns.ids, scores, columns.responses[order], twice_ranks, tie_policy,
-                        order)
+    return RankedSample(columns, tie_policy)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from scorepotential import (
+    ComparisonReport,
     CutOff,
     EmptyBatch,
     EvaluationContext,
@@ -167,6 +169,23 @@ class TestCompareModels:
         )
         report = compare_models([low, high])
         assert report.below_target == ("low",)
+
+    def test_a_report_derives_its_ranking_and_below_target(self, rate4_sample):
+        low = self._evaluation_for(rate4_sample.records, "low", target=80.0)
+        high = self._evaluation_for(bucketed_records([4, 0, 0, 0, 0, 0, 0, 0, 0, 0], 10),
+                                    "high", target=80.0)
+        report = ComparisonReport((low, high))
+        assert report.evaluations == (high, low)
+        assert (report.ranking, report.below_target) == (("high", "low"), ("low",))
+        with pytest.raises(TypeError):
+            ComparisonReport((low, high), ranking=("high", "zzz"), below_target=())
+
+    def test_equal_exact_pop_breaks_ties_by_chart_pop_before_id(self):
+        weak = self._evaluation_for(bucketed_records([0, 0, 3, 1, 0, 0, 0, 0, 0, 0], 10), "a")
+        strong = self._evaluation_for(bucketed_records([4, 0, 0, 0, 0, 0, 0, 0, 0, 0], 10), "b")
+        assert weak.gains.pop_approx < strong.gains.pop_approx
+        weak = dataclasses.replace(weak, pop_exact=strong.pop_exact)
+        assert compare_models([weak, strong]).ranking == ("b", "a")
 
     def test_empty_batch(self):
         with pytest.raises(EmptyBatch):

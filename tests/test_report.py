@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -288,6 +289,35 @@ def test_json_reader_takes_an_int_field_only_as_an_integer(rate4_evaluation, val
     data = evaluation_to_dict(rate4_evaluation)
     edit(data["gains"])
     with pytest.raises(ValueError, match=f"expected an integer, not {value}$"):
+        evaluation_from_dict(data)
+
+
+# JSON values of another type than their field's, each equal to the value it
+# replaces (0 == 0.0 == False), so only its type is wrong; each message names
+# the field by its path.
+@pytest.mark.parametrize("message, edit", [
+    ("model_id: expected a string, not 5", lambda data: data.update(model_id=5)),
+    ("meets_stretch_target: expected true, false or null, not 0",
+     lambda data: data.update(meets_stretch_target=0)),
+    ("stretch_target: expected a float or null, not 80",
+     lambda data: data.update(stretch_target=80)),
+    ("gains: buckets: p_up_max: expected a float, not 0",
+     lambda data: data["gains"]["buckets"][0].update(p_up_max=0)),
+    ("gains: buckets: p_up_min: expected a float, not False",
+     lambda data: data["gains"]["buckets"][0].update(p_up_min=False)),
+    ("gains: beni_cumulative: expected a float, not 100",
+     lambda data: data["gains"]["beni_cumulative"].__setitem__(-1, 100)),
+    ("beni_profile: beni: expected a float, not 0",
+     lambda data: data["beni_profile"][0].update(beni=0)),
+])
+def test_json_reader_takes_each_value_only_as_its_own_json_type(rate4_evaluation, message,
+                                                                 edit):
+    data = evaluation_to_dict(rate4_evaluation)
+    assert data["meets_stretch_target"] is False and data["stretch_target"] == 80.0
+    assert data["gains"]["buckets"][0]["p_up_max"] == data["gains"]["buckets"][0]["p_up_min"] == 0.0
+    assert data["gains"]["beni_cumulative"][-1] == 100.0 and data["beni_profile"][0]["beni"] == 0.0
+    edit(data)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         evaluation_from_dict(data)
 
 

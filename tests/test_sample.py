@@ -15,6 +15,7 @@ from scorepotential import (
     SampleColumns,
     ScoredRecord,
     TiePolicy,
+    pop_exact,
     rank_sample,
 )
 from tests.conftest import ten_name_records
@@ -154,15 +155,24 @@ def test_ranked_ids_do_not_follow_a_later_change_to_the_callers_list():
 
 
 def test_ranked_sample_validates_its_columns():
-    ids = np.array(["a", "b"], dtype=object)
     with pytest.raises(EmptySample):
-        RankedSample(ids[:0], [], [], [])
-    with pytest.raises(ValueError, match="parallel"):
-        RankedSample(ids, [1.0, 2.0], [False, True], [2])
-    with pytest.raises(ValueError, match="ascending"):
-        RankedSample(ids, [2.0, 1.0], [False, True], [2, 4])
-    with pytest.raises(ValueError, match="rank sum"):
-        RankedSample(ids, [1.0, 2.0], [False, True], [2, 2])
+        RankedSample(SampleColumns([], [], []))
+
+
+@pytest.mark.parametrize("policy, pop", [(TiePolicy.PESSIMISTIC, 100 / 3),
+                                         (TiePolicy.MIDRANK, 50.0),
+                                         (TiePolicy.OPTIMISTIC, 200 / 3)])
+def test_a_tie_policy_named_by_string_ranks_like_its_member(policy, pop):
+    records = [ScoredRecord("a", 1.0, 1), ScoredRecord("b", 1.0, 0), ScoredRecord("c", 2.0, 0)]
+    by_member, by_name = rank_sample(records, policy), rank_sample(records, policy.value)
+    assert by_name.tie_policy is policy
+    assert by_name.twice_ranks.tolist() == by_member.twice_ranks.tolist()
+    assert pop_exact(by_name) == pop_exact(by_member) == pytest.approx(pop, abs=1e-12)
+
+
+def test_an_unknown_tie_policy_is_refused():
+    with pytest.raises(ValueError, match="bogus"):
+        RankedSample(SampleColumns(["a"], [1.0], [True]), "bogus")
 
 
 def test_columns_rank_like_the_records_they_hold():
