@@ -43,10 +43,6 @@ from .gains import (
     Bucket,
     GainsChart,
     build_gains_chart,
-    p_up_avg_bucket,
-    p_up_max_bucket,
-    p_up_min_bucket,
-    pop_denominator_chart,
 )
 from .metrics import (
     auc_crosscheck,
@@ -98,9 +94,7 @@ __all__ = [
     "cost_per_responder", "cost_per_thousand", "economics_summary",
     "evaluate_model", "evaluation_from_csv", "evaluation_from_dict",
     "evaluation_to_csv", "evaluation_to_dict", "generate_columns", "generate_sample",
-    "p_up_avg_bucket", "p_up_max_bucket", "p_up_min_bucket",
-    "parse_sample_csv", "perfect_rank_sum",
-    "pop_denominator_chart", "pop_denominator_exact", "pop_exact",
+    "parse_sample_csv", "perfect_rank_sum", "pop_denominator_exact", "pop_exact",
     "pop_numerator_exact", "rank_sample", "read_sample_columns", "records_to_csv_text",
     "render_combined_chart", "render_comparison", "render_economics_text",
     "render_pop_vs_beni_figure", "selection_count", "spreading_loss",

@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import IndivisibleBuckets, NoResponders
 from .metrics import benefit_index, ceiling_and_attainment, rank_sum_bounds
-from .rounding import to_fraction
 from .sample import RankedSample
 
 # Each chart operand is at most 200*k*X**2: below 2**53 it is an exact double in
@@ -82,43 +81,6 @@ class GainsChart:
 def _row_cutoffs(bucket_count: int) -> tuple[Fraction, ...]:
     """The cut-offs 1/B, 2/B, ..., 1 of a chart's rows, one tuple per bucket count."""
     return tuple(Fraction(row, bucket_count) for row in range(1, bucket_count + 1))
-
-
-def _bucket_bounds(bucket_no: int, responders: int, spacing) -> tuple[float, float]:
-    """P-up max and min of a bucket (rank_sum_bounds) at any spacing."""
-    if bucket_no < 1 or responders < 0:
-        raise ValueError("bucket_no must be >= 1 and responders >= 0")
-    units, scale = to_fraction(spacing).as_integer_ratio()
-    top, bottom = rank_sum_bounds(bucket_no, responders, units, scale)
-    return top / scale, bottom / scale
-
-
-def p_up_max_bucket(bucket_no: int, responders: int, spacing) -> float:
-    """Bucket rank sum if all responders sit at the bucket top (descending row)."""
-    return _bucket_bounds(bucket_no, responders, spacing)[0]
-
-
-def p_up_min_bucket(bucket_no: int, responders: int, spacing) -> float:
-    """Bucket rank sum if all responders sit at the bucket bottom (ascending row)."""
-    return _bucket_bounds(bucket_no, responders, spacing)[1]
-
-
-def p_up_avg_bucket(max_value: float, min_value: float) -> float:
-    """Arithmetic mean of the two bucket rank-sum bounds."""
-    if min_value > max_value:
-        raise ValueError("min bound exceeds max bound")
-    return (max_value + min_value) / 2
-
-
-def pop_denominator_chart(bucket_count: int, responders_k: int, spacing) -> float:
-    """Best achievable rank sum in bucket units: #B*k - spacing*(k-1)k/2.
-
-    Equals spacing times the exact rank denominator, so chart-level and
-    rank-level score potentials share one scale.
-    """
-    if responders_k < 1:
-        raise NoResponders()
-    return _bucket_bounds(bucket_count, responders_k, spacing)[0]
 
 
 def build_gains_chart(sample: RankedSample, bucket_count: int) -> GainsChart:

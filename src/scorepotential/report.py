@@ -12,6 +12,7 @@ import csv
 import io
 import json
 from collections import namedtuple
+from contextlib import suppress
 from dataclasses import fields, is_dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
@@ -143,10 +144,15 @@ FIELD_COLUMNS = {"pop_min_variant": "pop_approx_min", "pop_max_variant": "pop_ap
 # is parsed once while it stays among the last few thousand (errors are not kept).
 @lru_cache(maxsize=4096)
 def _fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"expected a p/q string with q > 0, not {text!r}") from None
+    with suppress(ZeroDivisionError):  # "1/0"
+        if str(value := Fraction(text)) == text:
+            return value
+    raise ValueError(f"expected a p/q string in lowest terms with q > 0, not {text!r}")
+
+
+def _flags(v: list) -> frozenset[str]:  # as written: non-empty strings, sorted, each once
+    ok = all(type(f) is str and f for f in v) and v == sorted(set(v))
+    return frozenset(_expect(v, ok, "a list of strings, non-empty, sorted and each once"))
 
 
 # kinds: each exact JSON type that load takes, with its name for an error;
@@ -167,9 +173,8 @@ _LEAF_CODECS = {
     bool | None: _Codec({bool: "true, false"} | _NULL,
                         cell=lambda v: None if v is None else "true" if v else "false",
                         parse=lambda s: _BOOLS[_expect(s, s in _BOOLS, "true, false or empty")]),
-    frozenset[str]: _Codec({list: "a list of strings"}, sorted, lambda v: frozenset(_expect(
-                               v, all(type(f) is str for f in v), "a list of strings")),
-                           lambda v: ";".join(sorted(v)), lambda s: frozenset(s.split(";")) - {""}),
+    frozenset[str]: _Codec({list: "a list of strings"}, sorted, _flags, lambda v: ";".join(
+                               sorted(v)), lambda s: _flags(s.split(";") if s else [])),
 }
 
 
@@ -202,8 +207,8 @@ def _codec(hint) -> _Codec:
         return _Codec({list: "a list"},
                       lambda m: [{name: key.dump(getattr(k, key_field)), **value.dump(v)}
                                  for k, v in m.items()],
-                      lambda entries: _once_each([(args[0](_take(key, e[name])), _take(value, e))
-                                                  for e in entries], name))
+                      lambda entries: _once_each([(args[0](_take(key, e[name])), _take(value, {
+                          f: v for f, v in e.items() if f != name})) for e in entries], name))
     # A dataclass or NamedTuple: a JSON object of its fields, of which only
     # those with a dump or load are converted; a field of its first kind needs
     # no check.  vars(o) would copy faster, but it gives the object a __dict__
@@ -224,14 +229,20 @@ def _codec(hint) -> _Codec:
 
     def load(doc: dict):
         values = list(get(doc))
+        if len(doc) != len(names) and (unknown := doc.keys() - names):
+            raise ValueError(f"unknown key {min(unknown)!r}")
         for i, convert in loaded if tuple(map(type, values)) == usual else taken:
-            try:
-                values[i] = convert(values[i])
-            except ValueError as err:  # named by its path of fields: "gains: buckets: ..."
-                raise ValueError(f"{names[i]}: {err}") from None
+            values[i] = _named(names[i], convert, values[i])
         return hint(*values)
 
     return _Codec({dict: "an object"}, dump, load)
+
+
+def _named(name: str, convert: Callable, value):  # errors named by path: "gains: buckets: ..."
+    try:
+        return convert(value)
+    except ValueError as err:
+        raise ValueError(f"{name}: {err}") from None
 
 
 def _take(codec: _Codec, value):
@@ -301,8 +312,9 @@ def evaluation_to_dict(evaluation: ModelEvaluation) -> dict:
 
 
 def evaluation_from_dict(data: dict) -> ModelEvaluation:
-    try:
-        return _codec(ModelEvaluation).load(data)
+    try:  # the evaluation's former copies of its chart's PoP approximations are ignored
+        return _codec(ModelEvaluation).load({k: v for k, v in data.items() if k not in (
+            "pop_approx", "pop_approx_min", "pop_approx_max")})
     except KeyError as err:
         raise ValueError(f"evaluation document lacks the key {err}") from None
 
@@ -383,7 +395,7 @@ def _read_table(rows: list[list[str]], section: list[tuple]) -> dict[str, list]:
     if list(rows[0]) != names or any(len(row) != len(names) for row in rows):
         raise ValueError(f"expected a table of the columns {names}")
     cells = list(zip(*rows[1:])) or [()] * len(section)
-    return {name: list(map(codec.parse, column))
+    return {name: _named(name, list, map(codec.parse, column))
             for (name, codec, _), column in zip(section, cells)}
 
 

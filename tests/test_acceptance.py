@@ -31,7 +31,6 @@ from scorepotential import (
     evaluate_model,
     generate_sample,
     perfect_rank_sum,
-    pop_denominator_chart,
     pop_denominator_exact,
     pop_exact,
     pop_numerator_exact,
@@ -41,6 +40,7 @@ from scorepotential import (
     write_sample_csv,
 )
 from scorepotential.cli import main
+from scorepotential.metrics import rank_sum_bounds
 from scorepotential.rounding import round_half_up
 from tests.conftest import (
     RATE8_DECILE_RESPONDERS,
@@ -167,7 +167,8 @@ def test_criterion_06_denominator_identities(criterion):
                     continue
                 spacing = Fraction(b, x)
                 for k in range(1, x + 1):
-                    assert pop_denominator_chart(b, k, spacing) == float(
+                    # The expression build_gains_chart stores as p_down_chart.
+                    assert rank_sum_bounds(b, k, b, x)[0] / x == float(
                         spacing * perfect_rank_sum(x, k)
                     )
 

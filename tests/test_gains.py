@@ -13,67 +13,55 @@ from scorepotential import (
     NoResponders,
     ScoredRecord,
     build_gains_chart,
-    p_up_avg_bucket,
-    p_up_max_bucket,
-    p_up_min_bucket,
-    pop_denominator_chart,
     pop_denominator_exact,
     pop_exact,
     pop_numerator_exact,
     rank_sample,
 )
+from scorepotential.metrics import rank_sum_bounds
 from scorepotential.rounding import round_half_up
 from tests.conftest import bucketed_records
 
 
+# rank_sum_bounds(bucket_no, responders, #B, #X) is #X times P'-up max and min
+# of the bucket in bucket units; with bucket_no #B and all k responders, its
+# max is P-down.  Ten buckets of 100 names: #B = 10, #X = 100.
 class TestBucketBounds:
     def test_descending_row_from_bucket_top(self):
-        assert p_up_max_bucket(8, 3, Fraction(1, 10)) == 23.7
-        assert p_up_max_bucket(10, 4, Fraction(1, 10)) == 39.4
+        assert rank_sum_bounds(8, 3, 10, 100)[0] / 100 == 23.7
+        assert rank_sum_bounds(10, 4, 10, 100)[0] / 100 == 39.4
 
     def test_zero_responders_all_bounds_zero(self):
         for bno in (1, 4, 10):
-            assert p_up_max_bucket(bno, 0, 0.25) == 0
-            assert p_up_min_bucket(bno, 0, 0.25) == 0
+            assert rank_sum_bounds(bno, 0, 1, 4) == (0, 0)
 
     def test_ascending_row_from_bucket_bottom(self):
-        assert p_up_min_bucket(8, 3, Fraction(1, 10)) == 21.6
-        assert p_up_min_bucket(7, 1, Fraction(1, 10)) == 6.1
+        assert rank_sum_bounds(8, 3, 10, 100) == (2370, 2160)
+        assert rank_sum_bounds(7, 1, 10, 100) == (700, 610)
+        assert rank_sum_bounds(8, 3, 10, 100)[1] / 100 == 21.6
+        assert rank_sum_bounds(7, 1, 10, 100)[1] / 100 == 6.1
 
     def test_average(self):
-        assert p_up_avg_bucket(23.7, 21.6) == 22.65
-        assert p_up_avg_bucket(7.0, 6.1) == 6.55
-        assert p_up_avg_bucket(0.0, 0.0) == 0.0
-        with pytest.raises(ValueError):
-            p_up_avg_bucket(1.0, 2.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            p_up_max_bucket(0, 1, 0.1)
-        with pytest.raises(ValueError):
-            p_up_min_bucket(1, -1, 0.1)
+        assert sum(rank_sum_bounds(8, 3, 10, 100)) / 200 == 22.65
+        assert sum(rank_sum_bounds(7, 1, 10, 100)) / 200 == 6.55
+        assert rank_sum_bounds(7, 1, 10, 100)[0] / 100 == 7.0
+        assert sum(rank_sum_bounds(7, 0, 10, 100)) / 200 == 0.0
 
 
 class TestChartDenominator:
     def test_worked_values(self):
-        assert pop_denominator_chart(10, 4, Fraction(1, 10)) == 39.4
-        assert pop_denominator_chart(10, 3, Fraction(1, 10)) == 29.7
+        assert rank_sum_bounds(10, 4, 10, 100)[0] / 100 == 39.4
+        assert rank_sum_bounds(10, 3, 10, 100)[0] / 100 == 29.7
 
     def test_matches_rescaled_exact_sum(self):
         # 29.7 is also 0.1 times the exact top-3 rank sum of 100 names.
-        assert pop_denominator_chart(10, 3, Fraction(1, 10)) == float(
-            Fraction(1, 10) * 297
-        )
+        assert rank_sum_bounds(10, 3, 10, 100)[0] / 100 == float(Fraction(1, 10) * 297)
 
     def test_all_names_respond(self):
         b, x = 5, 40
         spacing = Fraction(b, x)
         expected = b * x - spacing * (x - 1) * x / 2
-        assert pop_denominator_chart(b, x, spacing) == float(expected)
-
-    def test_no_responders(self):
-        with pytest.raises(NoResponders):
-            pop_denominator_chart(10, 0, Fraction(1, 10))
+        assert rank_sum_bounds(b, x, b, x)[0] / x == float(expected)
 
 
 class TestRate4DecileChart:

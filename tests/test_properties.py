@@ -39,6 +39,7 @@ from scorepotential import (
     render_combined_chart,
     sample_csv,
 )
+from scorepotential.metrics import rank_sum_bounds
 from tests.conftest import (
     float_bits,
     pairwise_auc,
@@ -86,6 +87,18 @@ def test_denominator_closed_form_equals_top_k_sum(x, k_fraction):
     r = Fraction(k, x)
     eq4_form = -((x * x * r * r) / 2 - (x * x + Fraction(x, 2)) * r)
     assert perfect_rank_sum(x, k) == sum(range(x - k + 1, x + 1)) == eq4_form
+
+
+@given(data=st.data(), bucket_count=st.integers(1, 10), names=st.integers(1, 20))
+def test_rank_sum_bounds_sum_the_highest_and_lowest_points_of_the_bucket_grid(
+        data, bucket_count, names):
+    top = data.draw(st.integers(1, bucket_count))
+    count = data.draw(st.integers(0, names))
+    scale = bucket_count * names
+    # The bucket's ranks in bucket units: top - 1 + j/names for j = 1..names.
+    grid = [top - 1 + Fraction(j, names) for j in range(1, names + 1)]
+    highest, lowest = sum(grid[names - count:]), sum(grid[:count])
+    assert rank_sum_bounds(top, count, bucket_count, scale) == (scale * highest, scale * lowest)
 
 
 @given(records=tied_score_records(), policy=st.sampled_from(list(TiePolicy)))

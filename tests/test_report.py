@@ -256,7 +256,18 @@ def test_csv_reader_takes_a_stretch_verdict_only_as_true_false_or_empty(rate4_ev
                                          "\nmeets_stretch_target,banana\n"))
 
 
-@pytest.mark.parametrize("flags", ["ab", [1], {"a": 1}])
+# Cells that would load as flags written otherwise: out of order, repeated or empty.
+@pytest.mark.parametrize("cell", ["b;a", ";;", "x;x", "a;", ";a"])
+def test_csv_reader_takes_degeneracy_flags_only_as_they_are_written(rate4_evaluation, cell):
+    text = render_combined_chart(rate4_evaluation, "csv")
+    assert "\ndegeneracy_flags,\n" in text
+    flagged = evaluation_from_csv(text.replace("\ndegeneracy_flags,\n", "\ndegeneracy_flags,a;b\n"))
+    assert flagged.degeneracy_flags == {"a", "b"}
+    with pytest.raises(ValueError, match="^degeneracy_flags: expected a list of strings"):
+        evaluation_from_csv(text.replace("\ndegeneracy_flags,\n", f"\ndegeneracy_flags,{cell}\n"))
+
+
+@pytest.mark.parametrize("flags", ["ab", [1], {"a": 1}, ["b", "a"], ["x", "x"], [""]])
 def test_json_reader_takes_degeneracy_flags_only_as_a_list_of_strings(rate4_evaluation, flags):
     data = evaluation_to_dict(rate4_evaluation)
     assert evaluation_from_dict({**data, "degeneracy_flags": ["ab"]}).degeneracy_flags == {"ab"}
@@ -335,18 +346,37 @@ def test_a_bad_fraction_cell_is_refused_on_every_load(rate4_evaluation):
     for _ in range(3):
         with pytest.raises(ValueError, match="1/x"):
             evaluation_from_csv(text)
-    # A zero denominator, in either reader's spacing and in a profile cut-off.
     as_csv = render_combined_chart(rate4_evaluation, "csv")
-    data = evaluation_to_dict(rate4_evaluation)
-    assert "\n1/10,0.0," in as_csv
+    as_json = render_combined_chart(rate4_evaluation, "json")
+    assert "\n1/10,0.0," in as_csv and "\nbase_rate,1/25\n" in as_csv
+
+    def from_csv(old, new):
+        return lambda: evaluation_from_csv(as_csv.replace(old, new))
+
+    def from_json(edit):
+        data = json.loads(as_json)
+        edit(data)
+        return lambda: evaluation_from_dict(data)
+
+    # Each load's error names the field and the cell.
     loads = [
-        lambda: evaluation_from_csv(as_csv.replace("\nspacing,1/10\n", "\nspacing,1/0\n")),
-        lambda: evaluation_from_csv(as_csv.replace("\n1/10,0.0,", "\n1/0,0.0,")),
-        lambda: evaluation_from_dict({**data, "gains": {**data["gains"], "spacing": "1/0"}}),
+        # A zero denominator, in either reader's spacing and in a profile cut-off.
+        ("spacing", "1/0", from_csv("\nspacing,1/10\n", "\nspacing,1/0\n")),
+        ("cutoff", "1/0", from_csv("\n1/10,0.0,", "\n1/0,0.0,")),
+        ("gains: spacing", "1/0", from_json(lambda doc: doc["gains"].update(spacing="1/0"))),
+        # A Fraction written otherwise than as its str, which would render as other bytes.
+        ("gains: base_rate", "0.04", from_json(lambda doc: doc["gains"].update(base_rate="0.04"))),
+        ("gains: spacing", " 1/10 ", from_json(lambda doc: doc["gains"].update(spacing=" 1/10 "))),
+        ("gains: row_cutoffs", "2/20",
+         from_json(lambda doc: doc["gains"]["row_cutoffs"].__setitem__(0, "2/20"))),
+        ("beni_profile", "0.1", from_json(lambda doc: doc["beni_profile"][0].update(cutoff="0.1"))),
+        ("spacing", "0.1", from_csv("\nspacing,1/10\n", "\nspacing,0.1\n")),
+        ("base_rate", " 1/25", from_csv("\nbase_rate,1/25\n", "\nbase_rate, 1/25\n")),
     ]
-    for load in loads:
+    for path, cell, load in loads:
+        message = f"^{path}: expected .*, not {re.escape(repr(cell))}$"
         for _ in range(3):
-            with pytest.raises(ValueError, match="1/0"):
+            with pytest.raises(ValueError, match=message):
                 load()
 
 
@@ -383,6 +413,20 @@ def test_csv_reader_takes_each_meta_row_once_in_order(rate4_evaluation, edit):
     edit(lines)
     with pytest.raises(ValueError):
         evaluation_from_csv("".join(lines))
+
+
+# A key that no field of its object owns, at each level of a document.
+@pytest.mark.parametrize("path, edit", [
+    ("", lambda data: data.update(note="x")),
+    ("gains: ", lambda data: data["gains"].update(note="x")),
+    ("gains: buckets: ", lambda data: data["gains"]["buckets"][3].update(note="x")),
+    ("beni_profile: ", lambda data: data["beni_profile"][2].update(note="x")),
+])
+def test_json_reader_takes_an_object_only_with_its_own_fields(rate4_evaluation, path, edit):
+    data = evaluation_to_dict(rate4_evaluation)
+    edit(data)
+    with pytest.raises(ValueError, match=f"^{path}unknown key 'note'$"):
+        evaluation_from_dict(data)
 
 
 def test_a_document_with_the_evaluations_old_pop_approx_copies_still_loads(rate4_evaluation):
