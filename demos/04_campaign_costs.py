@@ -5,22 +5,14 @@ Promotion spent on the 96,000 non-responders is the spreading loss a
 better targeting model would shrink.
 """
 
-from scorepotential import (
-    CampaignEconomics,
-    cost_per_responder,
-    cost_per_thousand,
-    render_economics_text,
-    spreading_loss,
-)
+from scorepotential import CampaignEconomics, render_economics_text
 
 campaign = CampaignEconomics(total_cost=50_000, addresses=100_000, responders=4_000)
 print(render_economics_text(campaign))
 
-per_thousand = cost_per_thousand(campaign)
-per_responder = cost_per_responder(campaign)
-loss = spreading_loss(per_thousand, per_responder)
+loss = campaign.spreading_loss
 print(f"Exact rationals underneath: {loss.cost_per_action} - "
       f"{loss.cost_per_responder} = {loss.loss}")
 
 # The per-responder figure reconstructs the budget without rounding residue.
-assert per_responder * campaign.responders == campaign.total_cost
+assert campaign.cost_per_responder * campaign.responders == campaign.total_cost

@@ -5,13 +5,7 @@ Exposes the benefit index (BenI), the exact rank-based score potential
 arithmetic, and a deterministic batch evaluation engine.
 """
 
-from .economics import (
-    CampaignEconomics,
-    SpreadingLoss,
-    cost_per_responder,
-    cost_per_thousand,
-    spreading_loss,
-)
+from .economics import CampaignEconomics, SpreadingLoss, spreading_loss
 from .engine import (
     DECILE_CUTOFFS,
     BeniPoint,
@@ -91,8 +85,7 @@ __all__ = [
     "SampleColumns", "ScoredRecord", "SpreadingLoss", "TiePolicy", "TooFewPoints",
     "ToolkitError", "ZeroBaseRate", "auc_crosscheck",
     "beni", "beni_at_cutoff", "beni_max", "build_gains_chart", "compare_models",
-    "cost_per_responder", "cost_per_thousand", "economics_summary",
-    "evaluate_model", "evaluation_from_csv", "evaluation_from_dict",
+    "economics_summary", "evaluate_model", "evaluation_from_csv", "evaluation_from_dict",
     "evaluation_to_csv", "evaluation_to_dict", "generate_columns", "generate_sample",
     "parse_sample_csv", "perfect_rank_sum", "pop_denominator_exact", "pop_exact",
     "pop_numerator_exact", "rank_sample", "read_sample_columns", "records_to_csv_text",

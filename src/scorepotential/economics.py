@@ -7,41 +7,40 @@ rounding residue; formatting to decimal strings happens at render time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import NoResponders
 from .rounding import to_fraction
 
 
 @dataclass(frozen=True)
 class CampaignEconomics:
-    """Cost and response figures of one promotion."""
+    """Cost and response figures of one promotion, and the cost figures they give.
+
+    cost_per_thousand scales the cost per address to one thousand names;
+    cost_per_responder and spreading_loss are None without responders.
+    """
 
     total_cost: Fraction
     addresses: int
     responders: int
+    cost_per_thousand: Fraction = field(init=False)
+    cost_per_responder: Fraction | None = field(init=False)
+    spreading_loss: SpreadingLoss | None = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "total_cost", to_fraction(self.total_cost))
-        if self.total_cost < 0:
+        total = to_fraction(self.total_cost)
+        if total < 0:
             raise ValueError("total cost must be non-negative")
         if self.addresses < 1:
             raise ValueError("addresses must be positive")
         if not 0 <= self.responders <= self.addresses:
             raise ValueError("responders must lie in [0, addresses]")
-
-
-def cost_per_thousand(econ: CampaignEconomics) -> Fraction:
-    """Total cost divided by addresses, scaled to one thousand names."""
-    return econ.total_cost / econ.addresses * 1000
-
-
-def cost_per_responder(econ: CampaignEconomics) -> Fraction:
-    """Total cost divided by the number of responders."""
-    if econ.responders == 0:
-        raise NoResponders()
-    return econ.total_cost / econ.responders
+        per_thousand = total / self.addresses * 1000
+        per_responder = total / self.responders if self.responders else None
+        vars(self).update(total_cost=total, cost_per_thousand=per_thousand,
+                          cost_per_responder=per_responder, spreading_loss=None
+                          if per_responder is None else spreading_loss(per_thousand, per_responder))
 
 
 @dataclass(frozen=True)

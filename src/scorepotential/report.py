@@ -23,15 +23,8 @@ from math import isfinite
 from operator import attrgetter, itemgetter
 from typing import Callable, get_args, get_origin, get_type_hints
 
-from .economics import (
-    CampaignEconomics,
-    SpreadingLoss,
-    cost_per_responder,
-    cost_per_thousand,
-    spreading_loss,
-)
+from .economics import CampaignEconomics
 from .engine import BeniPoint, ComparisonReport, ModelEvaluation
-from .errors import NoResponders
 from .gains import Bucket, GainsChart
 from .rounding import round_half_up
 from .sample import CutOff
@@ -162,17 +155,14 @@ def _flags(v: list) -> frozenset[str]:  # as written: non-empty strings, sorted,
 # (None: the value fills a section of its own).
 _Codec = namedtuple("_Codec", "kinds dump load cell parse", defaults=(None,) * 4)
 
-_FLOAT, _NULL = {float: "a float"}, {type(None): "null"}
-_BOOLS = {"": None, "true": True, "false": False}  # the CSV cells of a bool | None
+_BOOLS = {"true": True, "false": False}  # a bool's CSV cells; an empty one is None
 _LEAF_CODECS = {
     str: _Codec({str: "a string"}, parse=str),
     int: _Codec({int: "an integer"}, parse=int),
-    float: _Codec(_FLOAT, parse=float),
+    float: _Codec({float: "a float"}, parse=float),
+    bool: _Codec({bool: "true, false"}, cell=lambda v: "true" if v else "false",
+                 parse=lambda s: _BOOLS[_expect(s, s in _BOOLS, "true, false or empty")]),
     Fraction: _Codec({str: "a p/q string"}, str, _fraction, parse=_fraction),
-    float | None: _Codec(_FLOAT | _NULL, parse=lambda s: None if s == "" else float(s)),
-    bool | None: _Codec({bool: "true, false"} | _NULL,
-                        cell=lambda v: None if v is None else "true" if v else "false",
-                        parse=lambda s: _BOOLS[_expect(s, s in _BOOLS, "true, false or empty")]),
     frozenset[str]: _Codec({list: "a list of strings"}, sorted, _flags, lambda v: ";".join(
                                sorted(v)), lambda s: _flags(s.split(";") if s else [])),
 }
@@ -191,6 +181,11 @@ def _codec(hint) -> _Codec:
     if hint in _LEAF_CODECS:
         return _LEAF_CODECS[hint]
     args = get_args(hint)
+    if type(None) in args:  # X | None: X's codec, where None is null or an empty CSV cell
+        item = _codec(next(a for a in args if a is not type(None)))
+        dump, load, cell = (f and partial(_or_none, f) for f in (item.dump, item.load, item.cell))
+        return _Codec(item.kinds | {type(None): "null"}, dump, load, cell,
+                      item.parse and (lambda s: None if s == "" else item.parse(s)))
     if get_origin(hint) is tuple:  # tuple[X, ...]: a JSON list; in CSV, a table column
         item = _codec(args[0])
 
@@ -236,6 +231,10 @@ def _codec(hint) -> _Codec:
         return hint(*values)
 
     return _Codec({dict: "an object"}, dump, load)
+
+
+def _or_none(convert: Callable, value):
+    return None if value is None else convert(value)
 
 
 def _named(name: str, convert: Callable, value):  # errors named by path: "gains: buckets: ..."
@@ -474,44 +473,22 @@ def render_comparison(report: ComparisonReport, fmt: str = "text") -> str:
                    comparison_to_csv)
 
 
-def _economics_figures(
-    econ: CampaignEconomics,
-) -> tuple[Fraction, Fraction | None, SpreadingLoss | None]:
-    """Cost per thousand, then cost per responder and the spreading loss, both
-    None without responders."""
-    per_thousand = cost_per_thousand(econ)
-    try:
-        per_responder = cost_per_responder(econ)
-    except NoResponders:
-        return per_thousand, None, None
-    return per_thousand, per_responder, spreading_loss(per_thousand, per_responder)
-
-
 def economics_summary(econ: CampaignEconomics) -> dict:
     """All cost figures for one campaign; exact rationals as strings."""
-    per_thousand, per_responder, loss = _economics_figures(econ)
-    return {
-        "total_cost": str(econ.total_cost),
-        "addresses": econ.addresses,
-        "responders": econ.responders,
-        "cost_per_thousand": str(per_thousand),
-        "cost_per_responder": None if per_responder is None else str(per_responder),
-        "spreading_loss": None if loss is None else _codec(SpreadingLoss).dump(loss),
-    }
+    return _codec(CampaignEconomics).dump(econ)
 
 
 def render_economics_text(econ: CampaignEconomics) -> str:
-    per_thousand, per_responder, loss = _economics_figures(econ)
     lines = [
         "Campaign economics",
         f"Total cost: {money_str(econ.total_cost)}   Addresses: {econ.addresses}   "
         f"Responders: {econ.responders}",
-        f"Cost per thousand: {money_str(per_thousand)}",
+        f"Cost per thousand: {money_str(econ.cost_per_thousand)}",
     ]
-    if per_responder is None:
+    if (loss := econ.spreading_loss) is None:
         lines.append("Cost per responder: undefined (no responders)")
     else:
-        lines += [f"Cost per responder: {money_str(per_responder)}",
+        lines += [f"Cost per responder: {money_str(econ.cost_per_responder)}",
                   "Spreading loss (per action - per responder): "
                   f"{money_str(loss.cost_per_action)} - {money_str(loss.cost_per_responder)}"
                   f" = {money_str(loss.loss)}"]

@@ -7,30 +7,30 @@ from fractions import Fraction
 
 import pytest
 
-from scorepotential import (
-    CampaignEconomics,
-    NoResponders,
-    cost_per_responder,
-    cost_per_thousand,
-    spreading_loss,
-)
+from scorepotential import CampaignEconomics, spreading_loss
 
 
 def test_cost_per_thousand_worked_values():
-    assert cost_per_thousand(CampaignEconomics(50_000, 100_000, 4_000)) == 500
-    assert cost_per_thousand(CampaignEconomics(0, 123, 0)) == 0
-    assert cost_per_thousand(CampaignEconomics(1_000, 1_000, 10)) == 1_000
+    assert CampaignEconomics(50_000, 100_000, 4_000).cost_per_thousand == 500
+    assert CampaignEconomics(0, 123, 0).cost_per_thousand == 0
+    assert CampaignEconomics(1_000, 1_000, 10).cost_per_thousand == 1_000
 
 
 def test_cost_per_responder():
-    assert cost_per_responder(CampaignEconomics(50_000, 100_000, 4_000)) == Fraction(25, 2)
-    assert cost_per_responder(CampaignEconomics(700, 700, 700)) == 1
-    assert cost_per_responder(CampaignEconomics(1_000, 1_000, 10)) == 100
+    assert CampaignEconomics(50_000, 100_000, 4_000).cost_per_responder == Fraction(25, 2)
+    assert CampaignEconomics(700, 700, 700).cost_per_responder == 1
+    assert CampaignEconomics(1_000, 1_000, 10).cost_per_responder == 100
 
 
-def test_cost_per_responder_without_responders_is_an_error():
-    with pytest.raises(NoResponders):
-        cost_per_responder(CampaignEconomics(100, 10, 0))
+def test_cost_per_responder_without_responders_is_none():
+    econ = CampaignEconomics(100, 10, 0)
+    assert econ.cost_per_responder is None
+    assert econ.spreading_loss is None
+
+
+def test_spreading_loss_is_per_thousand_minus_per_responder():
+    econ = CampaignEconomics(50_000, 100_000, 4_000)
+    assert econ.spreading_loss == spreading_loss(500, Fraction(25, 2))
 
 
 def test_spreading_loss_echoes_operands():
@@ -50,20 +50,20 @@ def test_spreading_loss_degenerate_cases():
 def test_scale_covariance():
     base = CampaignEconomics(1_234, 321, 45)
     scaled = CampaignEconomics(base.total_cost * 7, 321, 45)
-    assert cost_per_thousand(scaled) == 7 * cost_per_thousand(base)
-    assert cost_per_responder(scaled) == 7 * cost_per_responder(base)
+    assert scaled.cost_per_thousand == 7 * base.cost_per_thousand
+    assert scaled.cost_per_responder == 7 * base.cost_per_responder
 
 
 def test_per_responder_cost_reconstructs_total_exactly():
     for total, addresses, responders in [(1_000, 1_000, 3), (999, 500, 7), (1, 10, 9)]:
         econ = CampaignEconomics(total, addresses, responders)
-        assert cost_per_responder(econ) * responders == total
+        assert econ.cost_per_responder * responders == total
 
 
 def test_decimal_inputs_are_exact():
     econ = CampaignEconomics(Decimal("50000.50"), 100, 10)
     assert econ.total_cost == Fraction(5000050, 100)
-    assert cost_per_responder(econ) == Fraction(5000050, 1000)
+    assert econ.cost_per_responder == Fraction(5000050, 1000)
 
 
 def test_validation():
