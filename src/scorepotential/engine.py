@@ -4,13 +4,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import isfinite
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import EmptyBatch, ToolkitError
 from .gains import GainsChart, build_gains_chart
-from .metrics import beni_at_cutoff, ceiling_and_attainment, pop_exact, selection_count
+from .metrics import (benefit_index, beni_at_cutoff, ceiling_and_attainment, pop_exact,
+                      selection_count)
 from .rounding import round_half_up, to_fraction
 from .sample import CutOff, RankedSample, SampleColumns, ScoredRecord
 
@@ -23,6 +25,12 @@ class BeniPoint(NamedTuple):
     beni: float
     beni_max: float
     attainment_ratio: float
+
+
+def _beni_point(hits: int, names: int, cut: CutOff, responders: int, size: int) -> BeniPoint:
+    """The profile point of a pass set of names at cut, holding hits of the responders."""
+    return BeniPoint(benefit_index(hits, names, responders, size), *ceiling_and_attainment(
+        hits, names, *cut.fraction.as_integer_ratio(), responders, size))
 
 
 @dataclass(frozen=True)
@@ -74,13 +82,29 @@ class ModelEvaluation:
     degeneracy_flags: frozenset[str] = frozenset()
 
     def __post_init__(self):
+        if not isinstance(self.model_id, str):
+            raise ValueError(f"model_id must be a string, not {self.model_id!r}")
+        if not 0 <= self.pop_exact <= 100:  # nan fails too
+            raise ValueError(f"pop_exact must lie in [0, 100], not {self.pop_exact!r}")
         _check_target(self.stretch_target)
+        if self.stretch_target is not None:  # an int target is written as the float it is
+            vars(self)["stretch_target"] = float(self.stretch_target)
         if self.meets_stretch_target != _meets_target(self.pop_exact, self.stretch_target):
             raise ValueError("meets_stretch_target must be pop_exact >= stretch_target, "
                              "or null without a target")
         cuts = [cut.fraction for cut in self.beni_profile]  # pairwise: cheaper than a sort
         if not cuts or any(a >= b for a, b in zip(cuts, cuts[1:])):
             raise ValueError("beni_profile must list at least one cut-off, in ascending order")
+        size = self.gains.sample_size
+        k = int(self.gains.base_rate * size)
+        for cut, point in self.beni_profile.items():  # rebuilt from the hits its beni implies
+            names = selection_count(size, cut)
+            estimate = point.beni * names * k / (100 * size)  # inf or nan is refused
+            hits = round(estimate) if names and isfinite(estimate) else -1
+            if not max(0, k + names - size) <= hits <= min(names, k) or (
+                    _beni_point(hits, names, cut, k, size) != point):
+                raise ValueError(f"beni_profile: the point at cut-off {cut.fraction} is not "
+                                 "that of a pass set of the chart's sample")
 
 
 @dataclass(frozen=True)
@@ -116,10 +140,9 @@ def evaluate_model(ctx: EvaluationContext, model_id: str) -> ModelEvaluation:
         profile = {}
         size, k = sample.size_x, sample.responders_k
         for cut in ctx.cutoffs_of_interest:
-            value = beni_at_cutoff(sample, cut)  # raises first on an empty pass set
+            beni_at_cutoff(sample, cut)  # refuses an empty pass set
             n = selection_count(size, cut)
-            profile[cut] = BeniPoint(value, *ceiling_and_attainment(
-                int(sample.top_responders[n]), n, *cut.fraction.as_integer_ratio(), k, size))
+            profile[cut] = _beni_point(int(sample.top_responders[n]), n, cut, k, size)
     except ToolkitError as err:
         err.model_id = model_id
         raise

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CutoffTooSmall, DegenerateClasses, NoResponders, ZeroBaseRate
-from .rounding import round_half_up, to_fraction
+from .rounding import to_fraction
 from .sample import CutOff, RankedSample
 
 
@@ -73,8 +73,9 @@ def beni_max(cut: CutOff, base_rate) -> float:
 
 
 def selection_count(sample_size: int, cut: CutOff) -> int:
-    """Number of pass names at a cut-off: half-up rounding of fraction * #X."""
-    return round_half_up(cut.fraction * sample_size)
+    """Number of pass names at a cut-off: half-up rounding of fraction * #X, in ints."""
+    p, q = cut.fraction.as_integer_ratio()
+    return (2 * p * sample_size + q) // (2 * q)
 
 
 def beni_at_cutoff(sample: RankedSample, cut: CutOff) -> float:

@@ -432,6 +432,28 @@ def test_every_evaluation_a_json_document_loads_as_survives_csv(records, target,
     assert evaluation_from_csv(evaluation_to_csv(evaluation)) == evaluation
 
 
+# Every float under gains or beni_profile follows from the sample size, the
+# responders per bucket and the pass sets, so any other value is refused.
+@settings(max_examples=600)
+@given(records=pooled_score_records(min_size=1, need_responder=True), data=st.data())
+def test_an_evaluation_refuses_any_chart_or_profile_float_edited(records, data):
+    size = len(records)
+    bucket_count = data.draw(st.sampled_from([b for b in range(1, size + 1) if size % b == 0]))
+    picks = data.draw(st.lists(st.integers(1, size), min_size=1, max_size=4, unique=True))
+    ctx = EvaluationContext(sample=rank_sample(records), bucket_count=bucket_count,
+                            cutoffs_of_interest=[CutOff(Fraction(j, size)) for j in picks])
+    doc = json.loads(render_combined_chart(evaluate_model(ctx, "m"), "json"))
+    *keys, last = data.draw(st.sampled_from(sorted(
+        path for path in float_paths(doc) if path[0] in ("gains", "beni_profile"))))
+    parent = doc
+    for key in keys:
+        parent = parent[key]
+    old = parent[last]
+    parent[last] = data.draw(st.floats().filter(lambda x: not x == old))  # nan and +-inf too
+    with pytest.raises(ValueError):
+        evaluation_from_dict(doc)
+
+
 # Characters that csv.writer quotes (or, for \r, might), beside spaces and non-ASCII.
 QUOTED_ID_CHARS = ',"\r\n'
 EDGE_SCORES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e308, -1e308,

@@ -217,14 +217,32 @@ def test_csv_reader_rejects_a_chart_off_its_bucket_rows(rate4_evaluation, key, r
         evaluation_from_csv(text.replace(f"\n{row}\n", f"\n{edited}\n"))
 
 
+def untargeted(data: dict, **edits):
+    """data without its stretch target, then edited."""
+    data.update(stretch_target=None, meets_stretch_target=None, **edits)
+
+
+def profile_point(index: int, **edits):
+    return lambda data: data["beni_profile"][index].update(**edits)
+
+
 # rate4_evaluation has a stretch target of 80 and a pop_exact of 77.9; its
-# profile lists the deciles, 10 % first.
+# profile lists the deciles, 10 % first: 0 of 10 names, then 0 of 20, then 3
+# of 30 responders (BenI 250 of a ceiling of 333.3, attained to 75 %).
 @pytest.mark.parametrize("key, edit", [
     ("meets_stretch_target", lambda data: data.update(meets_stretch_target=True)),
     ("stretch target", lambda data: data.update(stretch_target=150.0)),
     ("cutoff", lambda data: data["beni_profile"].insert(1, data["beni_profile"][0])),
     ("beni_profile", lambda data: data["beni_profile"].reverse()),
     ("beni_profile", lambda data: data["beni_profile"].clear()),
+    ("^pop_exact must lie in", lambda data: untargeted(data, pop_exact=math.nan)),
+    ("^pop_exact must lie in", lambda data: untargeted(data, pop_exact=-5.0)),
+    ("^pop_exact must lie in", lambda data: untargeted(data, pop_exact=250.0)),
+    ("^beni_profile: .* 1/10 ", profile_point(0, beni_max=123.0)),
+    ("^beni_profile: .* 1/10 ", profile_point(0, beni=1.0)),
+    ("^beni_profile: .* 3/10 ", profile_point(2, attainment_ratio=75.00000000000001)),
+    ("^beni_profile: .* 3/10 ", profile_point(2, beni=1.7e308)),  # beni*n*k overflows
+    ("^beni_profile: .* 1/1000 ", profile_point(0, cutoff="1/1000")),  # selects no name
 ])
 def test_json_reader_rejects_an_evaluation_off_its_own_figures(rate4_evaluation, key, edit):
     data = evaluation_to_dict(rate4_evaluation)
@@ -233,12 +251,26 @@ def test_json_reader_rejects_an_evaluation_off_its_own_figures(rate4_evaluation,
         evaluation_from_dict(data)
 
 
+# The stretch target of 80 stays, so 250 and inf also contradict the verdict
+# "false"; the pop_exact range is checked first.
+RATE4_POP = "pop_exact,77.91878172588832"
+
+
 @pytest.mark.parametrize("key, row, edited", [
     ("meets_stretch_target", "meets_stretch_target,false", "meets_stretch_target,true"),
     ("stretch target", "stretch_target,80.0", "stretch_target,150.0"),
     ("cutoff", "1/10,0.0,1000.0,0.0", "1/10,0.0,1000.0,0.0\n1/10,0.0,1000.0,0.0"),
     ("beni_profile", "1/10,0.0,1000.0,0.0\n1/5,0.0,500.0,0.0",
      "1/5,0.0,500.0,0.0\n1/10,0.0,1000.0,0.0"),
+    ("^pop_exact must lie in", RATE4_POP, "pop_exact,nan"),
+    ("^pop_exact must lie in", RATE4_POP, "pop_exact,-5.0"),
+    ("^pop_exact must lie in", RATE4_POP, "pop_exact,250.0"),
+    ("^pop_exact must lie in", RATE4_POP, "pop_exact,inf"),
+    ("^beni_profile: .* 1/10 ", "1/10,0.0,1000.0,0.0", "1/10,0.0,123.0,0.0"),
+    ("^beni_profile: .* 1/10 ", "1/10,0.0,1000.0,0.0", "1/10,1.0,1000.0,0.0"),
+    ("^beni_profile: .* 3/10 ", "3/10,250.0,333.3333333333333,75.0",
+     "3/10,250.0,333.3333333333333,80.0"),
+    ("^beni_profile: .* 1/1000 ", "1/10,0.0,1000.0,0.0", "1/1000,0.0,1000.0,0.0"),
 ])
 def test_csv_reader_rejects_an_evaluation_off_its_own_figures(rate4_evaluation, key, row,
                                                               edited):
@@ -246,6 +278,19 @@ def test_csv_reader_rejects_an_evaluation_off_its_own_figures(rate4_evaluation, 
     assert f"\n{row}\n" in text
     with pytest.raises(ValueError, match=key):
         evaluation_from_csv(text.replace(f"\n{row}\n", f"\n{edited}\n"))
+
+
+def test_an_int_stretch_target_is_stored_as_a_float_and_reads_back(rate4_sample):
+    evaluation = evaluate_model(EvaluationContext(sample=rate4_sample, stretch_target=80), "m")
+    assert type(evaluation.stretch_target) is float
+    assert evaluation_from_dict(evaluation_to_dict(evaluation)) == evaluation
+    assert evaluation_from_csv(render_combined_chart(evaluation, "csv")) == evaluation
+
+
+@pytest.mark.parametrize("model_id", [7, None, b"m"])
+def test_a_model_id_that_is_not_a_string_is_refused(rate4_sample, model_id):
+    with pytest.raises(ValueError, match="^model_id must be a string"):
+        evaluate_model(EvaluationContext(sample=rate4_sample), model_id)
 
 
 def test_csv_reader_takes_a_stretch_verdict_only_as_true_false_or_empty(rate4_evaluation):
