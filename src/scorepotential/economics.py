@@ -38,9 +38,9 @@ class CampaignEconomics:
             raise ValueError("responders must lie in [0, addresses]")
         per_thousand = total / self.addresses * 1000
         per_responder = total / self.responders if self.responders else None
+        loss = None if per_responder is None else spreading_loss(per_thousand, per_responder)
         vars(self).update(total_cost=total, cost_per_thousand=per_thousand,
-                          cost_per_responder=per_responder, spreading_loss=None
-                          if per_responder is None else spreading_loss(per_thousand, per_responder))
+                          cost_per_responder=per_responder, spreading_loss=loss)
 
 
 @dataclass(frozen=True)

@@ -28,16 +28,12 @@ def test_cost_per_responder_without_responders_is_none():
     assert econ.spreading_loss is None
 
 
-def test_spreading_loss_is_per_thousand_minus_per_responder():
-    econ = CampaignEconomics(50_000, 100_000, 4_000)
-    assert econ.spreading_loss == spreading_loss(500, Fraction(25, 2))
-
-
 def test_spreading_loss_echoes_operands():
     loss = spreading_loss(500, Fraction(25, 2))
     assert loss.cost_per_action == 500
     assert loss.cost_per_responder == Fraction(25, 2)
     assert loss.loss == Fraction(975, 2)
+    assert CampaignEconomics(50_000, 100_000, 4_000).spreading_loss == loss
 
 
 def test_spreading_loss_degenerate_cases():
