@@ -243,6 +243,10 @@ def profile_point(index: int, **edits):
     ("^beni_profile: .* 3/10 ", profile_point(2, attainment_ratio=75.00000000000001)),
     ("^beni_profile: .* 3/10 ", profile_point(2, beni=1.7e308)),  # beni*n*k overflows
     ("^beni_profile: .* 1/1000 ", profile_point(0, cutoff="1/1000")),  # selects no name
+    # Points rebuilt whole from hits no pass set holds: 5 of the 4 responders in
+    # the top 10 names, and 3 of 4 in all 100.
+    ("^beni_profile: .* 1/10 ", profile_point(0, beni=1250.0, attainment_ratio=125.0)),
+    ("^beni_profile: .* 1 ", profile_point(9, beni=75.0, attainment_ratio=75.0)),
 ])
 def test_json_reader_rejects_an_evaluation_off_its_own_figures(rate4_evaluation, key, edit):
     data = evaluation_to_dict(rate4_evaluation)
