@@ -68,7 +68,6 @@ from .sample import (
     rank_sample,
 )
 from .sample_csv import (
-    parse_sample_csv,
     read_sample_columns,
     records_to_csv_text,
     write_sample_csv,
@@ -87,7 +86,7 @@ __all__ = [
     "beni", "beni_at_cutoff", "beni_max", "build_gains_chart", "compare_models",
     "economics_summary", "evaluate_model", "evaluation_from_csv", "evaluation_from_dict",
     "evaluation_to_csv", "evaluation_to_dict", "generate_columns", "generate_sample",
-    "parse_sample_csv", "perfect_rank_sum", "pop_denominator_exact", "pop_exact",
+    "perfect_rank_sum", "pop_denominator_exact", "pop_exact",
     "pop_numerator_exact", "rank_sample", "read_sample_columns", "records_to_csv_text",
     "render_combined_chart", "render_comparison", "render_economics_text",
     "render_pop_vs_beni_figure", "selection_count", "spreading_loss",

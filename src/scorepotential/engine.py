@@ -92,6 +92,11 @@ class ModelEvaluation:
         if self.meets_stretch_target != _meets_target(self.pop_exact, self.stretch_target):
             raise ValueError("meets_stretch_target must be pop_exact >= stretch_target, "
                              "or null without a target")
+        # Only the sample's scores show ties, so ties_present is not checked.
+        all_responders = {"all_responders"} if self.gains.base_rate == 1 else set()
+        if set(self.degeneracy_flags) - {"ties_present"} != all_responders:
+            raise ValueError(f"degeneracy_flags {sorted(self.degeneracy_flags)} must hold "
+                             "all_responders at base rate 1 only, and no flag but ties_present")
         cuts = [cut.fraction for cut in self.beni_profile]  # pairwise: cheaper than a sort
         if not cuts or any(a >= b for a, b in zip(cuts, cuts[1:])):
             raise ValueError("beni_profile must list at least one cut-off, in ascending order")
@@ -147,12 +152,8 @@ def evaluate_model(ctx: EvaluationContext, model_id: str) -> ModelEvaluation:
         err.model_id = model_id
         raise
 
-    flags = set()
-    if sample.responders_k == sample.size_x:
-        flags.add("all_responders")
-    if sample.has_ties:
-        flags.add("ties_present")
-
+    flags = {"all_responders": sample.responders_k == sample.size_x,
+             "ties_present": sample.has_ties}
     return ModelEvaluation(
         model_id=model_id,
         pop_exact=exact,
@@ -160,7 +161,7 @@ def evaluate_model(ctx: EvaluationContext, model_id: str) -> ModelEvaluation:
         beni_profile=profile,
         meets_stretch_target=_meets_target(exact, ctx.stretch_target),
         stretch_target=ctx.stretch_target,
-        degeneracy_flags=frozenset(flags),
+        degeneracy_flags=frozenset(flag for flag, holds in flags.items() if holds),
     )
 
 

@@ -155,10 +155,21 @@ def _flags(v: list) -> frozenset[str]:  # as written: non-empty strings, sorted,
 # (None: the value fills a section of its own).
 _Codec = namedtuple("_Codec", "kinds dump load cell parse", defaults=(None,) * 4)
 
+
+def _exactly(codec: _Codec) -> _Codec:
+    """codec, whose parse takes only the cell csv.writer writes for the value."""
+    read, write = codec.parse, codec.cell or str  # looked up once: int cells are many
+    def parse(text: str):
+        if (cell := "" if (value := read(text)) is None else write(value)) != text:
+            raise ValueError(f"expected {cell!r}, not {text!r}")
+        return value
+    return codec._replace(parse=parse)
+
+
 _BOOLS = {"true": True, "false": False}  # a bool's CSV cells; an empty one is None
 _LEAF_CODECS = {
     str: _Codec({str: "a string"}, parse=str),
-    int: _Codec({int: "an integer"}, parse=int),
+    int: _exactly(_Codec({int: "an integer"}, parse=int)),
     float: _Codec({float: "a float"}, parse=float),
     bool: _Codec({bool: "true, false"}, cell=lambda v: "true" if v else "false",
                  parse=lambda s: _BOOLS[_expect(s, s in _BOOLS, "true, false or empty")]),
@@ -302,8 +313,9 @@ _CSV_SECTIONS = (
 
 @cache
 def _sections() -> tuple[list[tuple], ...]:
-    """The sections of _CSV_SECTIONS, built on first use."""
-    return tuple(_section(*spec) for spec in _CSV_SECTIONS)
+    """The sections of _CSV_SECTIONS, built on first use; meta cells load only as written."""
+    meta, *tables = (_section(*spec) for spec in _CSV_SECTIONS)
+    return ([(name, _exactly(codec), column) for name, codec, column in meta], *tables)
 
 
 def evaluation_to_dict(evaluation: ModelEvaluation) -> dict:

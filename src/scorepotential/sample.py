@@ -114,12 +114,12 @@ class RankedSample:
     """A sample ranked by ascending score under a tie policy, as read-only columns.
 
     Position p holds rank p+1's record: rank 1 belongs to the lowest score,
-    rank #X to the highest.  Stable sorts keep input order within a tie group
-    before the policy moves its responders to the group's low or high end, so
-    buckets and cut-offs slice positionally.  twice_ranks holds each rank
-    doubled, as int64, so midranks stay exact integers.  ids (id_source
-    through order, the permutation into rank order), records and ranks are
-    built when read.  A mutable id_source (a list or an array) is copied.
+    rank #X to the highest.  One stable sort orders by score, then (but for
+    midrank) by the response flag that moves a tie group's responders to its
+    low or high end, so buckets and cut-offs slice positionally.  twice_ranks
+    holds each rank doubled, as int64, so midranks stay exact integers.  ids
+    (id_source through order, the permutation into rank order), records and
+    ranks are built when read.  A mutable id_source (a list or an array) is copied.
     """
 
     sample: InitVar[SampleColumns]
@@ -129,22 +129,22 @@ class RankedSample:
     responses: np.ndarray = field(init=False)
     twice_ranks: np.ndarray = field(init=False)
     order: np.ndarray = field(init=False)
+    has_ties: bool = field(init=False)
 
     def __post_init__(self, sample: SampleColumns):
         tie_policy, n = TiePolicy(self.tie_policy), len(sample)
         if n == 0:
             raise EmptySample()
-        if tie_policy is TiePolicy.MIDRANK:
-            order = np.argsort(sample.scores, kind="stable")
-            scores = sample.scores[order]
-            # A tie group over positions i..j shares the midrank (i+1 + j+1)/2.
-            starts = np.flatnonzero(np.concatenate(([True], scores[1:] != scores[:-1])))
-            ends = np.append(starts[1:], n) - 1
-            twice_ranks = np.repeat(starts + ends + 2, ends - starts + 1)
+        # lexsort's last key sorts first; responders go low when pessimistic.
+        flag = () if tie_policy is TiePolicy.MIDRANK else (
+            sample.responses if tie_policy is TiePolicy.OPTIMISTIC else ~sample.responses,)
+        order = np.lexsort((*flag, sample.scores))
+        scores = sample.scores[order]
+        starts = np.flatnonzero(np.concatenate(([True], scores[1:] != scores[:-1])))
+        if tie_policy is TiePolicy.MIDRANK:  # a tie group at i..j shares rank (i+1 + j+1)/2
+            sizes = np.diff(starts, append=n)
+            twice_ranks = np.repeat(2 * starts + sizes + 1, sizes)
         else:
-            key = sample.responses if tie_policy is TiePolicy.OPTIMISTIC else ~sample.responses
-            order = np.lexsort((key, sample.scores))
-            scores = sample.scores[order]
             twice_ranks = np.arange(2, 2 * n + 1, 2, dtype=np.int64)
         responses = sample.responses[order]
         for column in (scores, responses, twice_ranks, order):
@@ -153,7 +153,8 @@ class RankedSample:
         id_source = tuple(sample.ids) if copy else sample.ids
         # Frozen: set the derived fields past __setattr__.
         vars(self).update(tie_policy=tie_policy, id_source=id_source, scores=scores,
-                          responses=responses, twice_ranks=twice_ranks, order=order)
+                          responses=responses, twice_ranks=twice_ranks, order=order,
+                          has_ties=len(starts) < n)
 
     @property
     def size_x(self) -> int:
@@ -180,10 +181,6 @@ class RankedSample:
     @cached_property
     def response_rate_r(self) -> Fraction:
         return Fraction(self.responders_k, self.size_x)
-
-    @cached_property
-    def has_ties(self) -> bool:
-        return bool((self.scores[:-1] == self.scores[1:]).any())
 
     @cached_property
     def records(self) -> tuple[ScoredRecord, ...]:

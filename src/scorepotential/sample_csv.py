@@ -182,7 +182,10 @@ def _read_strict(handle, ids, seen, scores, responses, taken: int) -> None:
                     raise MalformedRow(line_no, "not valid UTF-8") from None
             if not header_read:
                 if [cell.strip() for cell in row] != HEADER:
-                    raise MalformedRow(line_no, "header must be exactly 'id,score,response'")
+                    why = "header must be exactly 'id,score,response'"
+                    if row[0].startswith("\ufeff"):  # as Excel's "CSV UTF-8" export writes
+                        why += " (it starts with a UTF-8 byte-order mark)"
+                    raise MalformedRow(line_no, why)
                 header_read = True
                 continue
             if len(row) != 3:
@@ -215,11 +218,6 @@ def _read_strict(handle, ids, seen, scores, responses, taken: int) -> None:
         raise MalformedRow(taken + reader.line_num, str(err)) from None
 
 
-def parse_sample_csv(path) -> list[ScoredRecord]:
-    """Read scored records from a CSV file, validating the full contract."""
-    return read_sample_columns(path).records()
-
-
 def _csv_slices(sample: SampleColumns | Iterable[ScoredRecord]) -> Iterator[str]:
     """The header line, then the CSV text of SLICE_ROWS rows at a time.
 
@@ -248,7 +246,7 @@ def _csv_slices(sample: SampleColumns | Iterable[ScoredRecord]) -> Iterator[str]
 
 
 def records_to_csv_text(sample: SampleColumns | Iterable[ScoredRecord]) -> str:
-    """CSV text in the same format parse_sample_csv reads (full float precision)."""
+    """CSV text in the same format read_sample_columns reads (full float precision)."""
     return "".join(_csv_slices(sample))
 
 
@@ -258,6 +256,6 @@ def _write_csv(sample: SampleColumns | Iterable[ScoredRecord], handle) -> None:
 
 
 def write_sample_csv(records: Iterable[ScoredRecord], path) -> None:
-    """Write records in the same format parse_sample_csv reads."""
+    """Write records in the same format read_sample_columns reads."""
     with open(path, "w", encoding="utf-8") as handle:
         _write_csv(records, handle)

@@ -283,9 +283,9 @@ def test_criterion_10_comparison_determinism(criterion, tmp_path):
         # Library-level check that a concurrent evaluation run reduces to the
         # same report as a sequential one.
         def evaluate_file(path: str):
-            from scorepotential import parse_sample_csv
+            from scorepotential import read_sample_columns
 
-            sample = rank_sample(parse_sample_csv(path))
+            sample = rank_sample(read_sample_columns(path))
             return evaluate_model(EvaluationContext(sample=sample), path.split("/")[-1][:-4])
 
         sequential = [evaluate_file(p) for p in paths]

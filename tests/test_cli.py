@@ -373,6 +373,15 @@ def test_a_row_after_a_multi_line_record_is_named_by_its_file_line(tmp_path, cap
     assert "error: line 4: score 'x' is not a number" in capsys.readouterr().err
 
 
+def test_a_byte_order_mark_before_the_header_is_named(tmp_path, capsys):
+    sample = tmp_path / "excel.csv"
+    sample.write_bytes(b"\xef\xbb\xbfid,score,response\na,1.0,0\nb,2.0,1\n")
+    code, _ = run_cli("evaluate", str(sample))
+    assert code == 21
+    assert ("error: line 1: header must be exactly 'id,score,response' "
+            "(it starts with a UTF-8 byte-order mark)") in capsys.readouterr().err
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_a_named_pipe_is_read_once_and_evaluated_as_a_file(tmp_path):
     # The space in an id sends the read to the strict reader.

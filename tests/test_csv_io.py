@@ -16,7 +16,6 @@ from scorepotential import (
     ScoredRecord,
     TiePolicy,
     generate_sample,
-    parse_sample_csv,
     rank_sample,
     read_sample_columns,
     records_to_csv_text,
@@ -35,7 +34,7 @@ def _write(tmp_path, text):
 def test_parses_the_ten_row_worked_sample(tmp_path):
     path = tmp_path / "t3.csv"
     write_sample_csv(ten_name_records(), path)
-    records = parse_sample_csv(path)
+    records = read_sample_columns(path).records()
     assert len(records) == 10
     assert sum(r.response for r in records) == 3
     assert records == ten_name_records()
@@ -43,26 +42,26 @@ def test_parses_the_ten_row_worked_sample(tmp_path):
 
 def test_file_order_is_preserved(tmp_path):
     path = _write(tmp_path, "id,score,response\nzz,1.0,0\naa,2.0,1\nmm,1.5,0\n")
-    assert [r.id for r in parse_sample_csv(path)] == ["zz", "aa", "mm"]
+    assert [r.id for r in read_sample_columns(path).records()] == ["zz", "aa", "mm"]
 
 
 def test_header_only_file_is_empty_sample(tmp_path):
     path = _write(tmp_path, "id,score,response\n")
     with pytest.raises(EmptySample):
-        parse_sample_csv(path)
+        read_sample_columns(path)
 
 
 def test_wrong_header(tmp_path):
     path = _write(tmp_path, "name,value,hit\nx,1.0,0\n")
     with pytest.raises(MalformedRow) as excinfo:
-        parse_sample_csv(path)
+        read_sample_columns(path)
     assert excinfo.value.line_no == 1
 
 
 def test_bad_response_value(tmp_path):
     path = _write(tmp_path, "id,score,response\nx,1.0,2\n")
     with pytest.raises(BadResponseValue) as excinfo:
-        parse_sample_csv(path)
+        read_sample_columns(path)
     assert excinfo.value.line_no == 2
 
 
@@ -70,20 +69,20 @@ def test_response_must_not_be_blank_or_float(tmp_path):
     for bad in ("", "0.0", "yes"):
         path = _write(tmp_path, f"id,score,response\nx,1.0,{bad}\n")
         with pytest.raises(BadResponseValue):
-            parse_sample_csv(path)
+            read_sample_columns(path)
 
 
 def test_wrong_field_count(tmp_path):
     path = _write(tmp_path, "id,score,response\nx,1.0\n")
     with pytest.raises(MalformedRow) as excinfo:
-        parse_sample_csv(path)
+        read_sample_columns(path)
     assert "3 fields" in excinfo.value.reason
 
 
 def test_non_numeric_score(tmp_path):
     path = _write(tmp_path, "id,score,response\nx,abc,0\n")
     with pytest.raises(MalformedRow) as excinfo:
-        parse_sample_csv(path)
+        read_sample_columns(path)
     assert excinfo.value.line_no == 2
 
 
@@ -91,25 +90,25 @@ def test_non_finite_score_rejected(tmp_path):
     for bad in ("nan", "inf", "-inf"):
         path = _write(tmp_path, f"id,score,response\nx,{bad},0\n")
         with pytest.raises(MalformedRow):
-            parse_sample_csv(path)
+            read_sample_columns(path)
 
 
 def test_duplicate_id(tmp_path):
     path = _write(tmp_path, "id,score,response\nx,1.0,0\nx,2.0,1\n")
     with pytest.raises(DuplicateId) as excinfo:
-        parse_sample_csv(path)
+        read_sample_columns(path)
     assert excinfo.value.record_id == "x"
 
 
 def test_empty_id(tmp_path):
     path = _write(tmp_path, "id,score,response\n,1.0,0\n")
     with pytest.raises(MalformedRow):
-        parse_sample_csv(path)
+        read_sample_columns(path)
 
 
 def test_blank_lines_are_skipped(tmp_path):
     path = _write(tmp_path, "id,score,response\n\nx,1.0,1\n\n")
-    assert len(parse_sample_csv(path)) == 1
+    assert len(read_sample_columns(path)) == 1
 
 
 def test_round_trip_preserves_full_float_precision(tmp_path):
@@ -118,7 +117,7 @@ def test_round_trip_preserves_full_float_precision(tmp_path):
     records = generate_sample(64, 0.25, 0.37, 1234)
     path = tmp_path / "gen.csv"
     write_sample_csv(records, path)
-    assert parse_sample_csv(path) == records
+    assert read_sample_columns(path).records() == records
 
 
 def test_ids_that_are_not_strings_are_written_as_before():
@@ -129,26 +128,26 @@ def test_ids_that_are_not_strings_are_written_as_before():
 def test_blank_first_line_does_not_skip_the_header_check(tmp_path):
     path = _write(tmp_path, "\nname,value,hit\nx,1.0,0\n")
     with pytest.raises(MalformedRow) as excinfo:
-        parse_sample_csv(path)
+        read_sample_columns(path)
     assert excinfo.value.line_no == 2
     assert "header" in excinfo.value.reason
 
     path = _write(tmp_path, "\nid,score,response\nx,1.0,1\n")
-    assert parse_sample_csv(path) == [ScoredRecord("x", 1.0, 1)]
+    assert read_sample_columns(path).records() == [ScoredRecord("x", 1.0, 1)]
 
 
 def test_score_must_be_an_ascii_decimal_literal(tmp_path):
     for bad in ("١", "1_0", "٣.٥"):
         path = _write(tmp_path, f"id,score,response\nx,{bad},0\n")
         with pytest.raises(MalformedRow) as excinfo:
-            parse_sample_csv(path)
+            read_sample_columns(path)
         assert excinfo.value.line_no == 2
         assert excinfo.value.exit_code == 21
 
 
 def test_exponent_and_signed_scores_stay_valid(tmp_path):
     path = _write(tmp_path, "id,score,response\na,1e-05,0\nb,2.5E+10,1\nc,-0.0,0\nd,.5,1\n")
-    assert [r.score for r in parse_sample_csv(path)] == [1e-05, 2.5e10, 0.0, 0.5]
+    assert [r.score for r in read_sample_columns(path).records()] == [1e-05, 2.5e10, 0.0, 0.5]
 
 
 def test_columns_hold_what_the_records_hold(tmp_path):
@@ -157,7 +156,7 @@ def test_columns_hold_what_the_records_hold(tmp_path):
     columns = read_sample_columns(path)
     assert list(columns.ids) == [r.id for r in ten_name_records()]
     assert columns.scores.dtype == np.float64 and columns.responses.dtype == np.bool_
-    assert columns.records() == parse_sample_csv(path)
+    assert columns.records() == ten_name_records()
 
 
 def _write_bytes(tmp_path, data: bytes):
@@ -169,7 +168,7 @@ def _write_bytes(tmp_path, data: bytes):
 def test_undecodable_byte_is_a_malformed_row_at_its_line(tmp_path):
     path = _write_bytes(tmp_path, b"id,score,response\na,1.0,0\nb\xff,2.0,1\nc,3.0,0\n")
     with pytest.raises(MalformedRow) as excinfo:
-        parse_sample_csv(path)
+        read_sample_columns(path)
     assert excinfo.value.line_no == 3
     assert excinfo.value.exit_code == 21
     assert "UTF-8" in excinfo.value.reason
@@ -179,7 +178,7 @@ def test_undecodable_byte_after_an_earlier_error_is_not_reported_first(tmp_path)
     # The decoder reads ahead in chunks; the bad response on line 2 still wins.
     path = _write_bytes(tmp_path, b"id,score,response\na,1.0,2\nb\xff,2.0,1\n")
     with pytest.raises(BadResponseValue) as excinfo:
-        parse_sample_csv(path)
+        read_sample_columns(path)
     assert excinfo.value.line_no == 2
 
 
@@ -187,13 +186,13 @@ def test_field_over_the_csv_limit_is_a_malformed_row_at_its_line(tmp_path):
     long_id = "x" * 140_000
     path = _write(tmp_path, f"id,score,response\na,1.0,0\n{long_id},2.0,1\n")
     with pytest.raises(MalformedRow) as excinfo:
-        parse_sample_csv(path)
+        read_sample_columns(path)
     assert excinfo.value.line_no == 3
     assert "field limit" in excinfo.value.reason
 
     path = _write(tmp_path, f"id,score,response\na,1.0,0\na,1.0,0\n{long_id},2.0,1\n")
     with pytest.raises(DuplicateId):
-        parse_sample_csv(path)
+        read_sample_columns(path)
 
 
 def test_a_defect_after_the_first_block_is_reported_at_its_own_line(tmp_path, monkeypatch):
@@ -274,7 +273,7 @@ def test_block_reader_defers_a_line_over_the_csv_limit(tmp_path):
     path = _write(tmp_path, f"id,score,response\n{'x' * (limit - 4)},1.0,0\n")
     assert_block_reader_defers(path)
     # The strict reader takes it: the id itself is inside the limit.
-    assert len(parse_sample_csv(path)) == 1
+    assert len(read_sample_columns(path)) == 1
 
 
 def _strict_reader_never_runs(*_):

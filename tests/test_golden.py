@@ -10,7 +10,6 @@ root, and only for an intended change of output.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import io
 import json
@@ -136,12 +135,13 @@ def test_flags_are_written_sorted():
     # Ten flags: a set order that happens to be sorted is then all but impossible.
     flags = frozenset(f"flag_{i}" for i in range(10))
     sample = rank_sample(samples()["rate8"])
-    evaluation = dataclasses.replace(
-        evaluate_model(EvaluationContext(sample=sample), "rate8"), degeneracy_flags=flags)
+    evaluation = evaluate_model(EvaluationContext(sample=sample), "rate8")
+    vars(evaluation)["degeneracy_flags"] = flags  # flags no evaluation may hold, so no load
     as_csv = render_combined_chart(evaluation, "csv")
     assert f"degeneracy_flags,{';'.join(sorted(flags))}\n" in as_csv
     assert json.loads(render_combined_chart(evaluation, "json"))["degeneracy_flags"] == sorted(flags)
-    assert evaluation_from_csv(as_csv) == evaluation
+    with pytest.raises(ValueError, match=r"^degeneracy_flags \['flag_0', 'flag_1',"):
+        evaluation_from_csv(as_csv)
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from scorepotential import (
     CutOff,
@@ -265,7 +265,24 @@ def pooled_score_records(draw, min_size=1, max_size=40, need_responder=False):
     ]
 
 
+# Edge cases of the one sort: every score equal, a single record, and -0.0
+# beside 0.0 (one tie group, whose signs must survive).
+ALL_EQUAL = [ScoredRecord(f"n{i}", 0.5, i % 2) for i in range(5)]
+SINGLE = [ScoredRecord("n0", 1.0, 1)]
+SIGNED_ZEROS = [ScoredRecord("a", 0.0, 1), ScoredRecord("b", -0.0, 0),
+                ScoredRecord("c", -0.0, 1), ScoredRecord("d", 0.0, 0)]
+
+
 @given(records=pooled_score_records(), policy=st.sampled_from(list(TiePolicy)))
+@example(records=ALL_EQUAL, policy=TiePolicy.MIDRANK)
+@example(records=ALL_EQUAL, policy=TiePolicy.PESSIMISTIC)
+@example(records=ALL_EQUAL, policy=TiePolicy.OPTIMISTIC)
+@example(records=SINGLE, policy=TiePolicy.MIDRANK)
+@example(records=SINGLE, policy=TiePolicy.PESSIMISTIC)
+@example(records=SINGLE, policy=TiePolicy.OPTIMISTIC)
+@example(records=SIGNED_ZEROS, policy=TiePolicy.MIDRANK)
+@example(records=SIGNED_ZEROS, policy=TiePolicy.PESSIMISTIC)
+@example(records=SIGNED_ZEROS, policy=TiePolicy.OPTIMISTIC)
 def test_columnar_ranking_matches_the_reference_loop(records, policy):
     sample = rank_sample(records, policy)
     expected_records, expected_ranks = reference_rank(records, policy)

@@ -39,6 +39,8 @@ from scorepotential.report import money_str, to_json
 from tests.conftest import bucketed_records
 from scorepotential import rank_sample
 
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
 
 @pytest.fixture
 def rate4_evaluation(rate4_sample):
@@ -310,8 +312,9 @@ def test_csv_reader_takes_a_stretch_verdict_only_as_true_false_or_empty(rate4_ev
 def test_csv_reader_takes_degeneracy_flags_only_as_they_are_written(rate4_evaluation, cell):
     text = render_combined_chart(rate4_evaluation, "csv")
     assert "\ndegeneracy_flags,\n" in text
-    flagged = evaluation_from_csv(text.replace("\ndegeneracy_flags,\n", "\ndegeneracy_flags,a;b\n"))
-    assert flagged.degeneracy_flags == {"a", "b"}
+    flagged = evaluation_from_csv(text.replace("\ndegeneracy_flags,\n",
+                                               "\ndegeneracy_flags,ties_present\n"))
+    assert flagged.degeneracy_flags == {"ties_present"}
     with pytest.raises(ValueError, match="^degeneracy_flags: expected a list of strings"):
         evaluation_from_csv(text.replace("\ndegeneracy_flags,\n", f"\ndegeneracy_flags,{cell}\n"))
 
@@ -319,9 +322,27 @@ def test_csv_reader_takes_degeneracy_flags_only_as_they_are_written(rate4_evalua
 @pytest.mark.parametrize("flags", ["ab", [1], {"a": 1}, ["b", "a"], ["x", "x"], [""]])
 def test_json_reader_takes_degeneracy_flags_only_as_a_list_of_strings(rate4_evaluation, flags):
     data = evaluation_to_dict(rate4_evaluation)
-    assert evaluation_from_dict({**data, "degeneracy_flags": ["ab"]}).degeneracy_flags == {"ab"}
+    assert evaluation_from_dict({**data, "degeneracy_flags": ["ties_present"]}).degeneracy_flags == {
+        "ties_present"}
     with pytest.raises(ValueError, match="a list of strings"):
         evaluation_from_dict({**data, "degeneracy_flags": flags})
+
+
+# Flags the document contradicts: one the toolkit never sets, all_responders
+# below a base rate of 1, and no all_responders at a base rate of 1.
+@pytest.mark.parametrize("golden, flags, message", [
+    ("evaluate_rate4_target80", ["bogus"], r"^degeneracy_flags \['bogus'\] must hold "),
+    ("evaluate_rate4_target80", ["all_responders"], r"^degeneracy_flags \['all_responders'\] "),
+    ("evaluate_all_responders", ["ties_present"], r"^degeneracy_flags \['ties_present'\] "),
+])
+def test_a_load_refuses_degeneracy_flags_its_document_contradicts(golden, flags, message):
+    data = json.loads((GOLDEN_DIR / f"{golden}.json").read_text(encoding="utf-8"))
+    with pytest.raises(ValueError, match=message):
+        evaluation_from_dict({**data, "degeneracy_flags": flags})
+    text = (GOLDEN_DIR / f"{golden}.csv").read_text(encoding="utf-8")
+    (row,) = re.findall(r"^degeneracy_flags,.*$", text, re.MULTILINE)
+    with pytest.raises(ValueError, match=message):
+        evaluation_from_csv(text.replace(row, "degeneracy_flags," + ";".join(flags)))
 
 
 # JSON numbers in Fraction fields; 0.5 is exactly the document's cut-off 1/2,
@@ -462,6 +483,25 @@ def test_csv_reader_takes_each_meta_row_once_in_order(rate4_evaluation, edit):
     edit(lines)
     with pytest.raises(ValueError):
         evaluation_from_csv("".join(lines))
+
+
+# Spellings that int() or float() reads but the writer never writes: in the
+# meta rows, and an int cell of the bucket table.
+@pytest.mark.parametrize("column, written, edited", [
+    ("bucket_count", "\nbucket_count,10\n", "\nbucket_count, 10\n"),
+    ("bucket_count", "\nbucket_count,10\n", "\nbucket_count,1_0\n"),
+    ("sample_size", "\nsample_size,100\n", "\nsample_size,0100\n"),
+    ("stretch_target", "\nstretch_target,80.0\n", "\nstretch_target,+80\n"),
+    ("stretch_target", "\nstretch_target,80.0\n", "\nstretch_target,8_0\n"),
+    ("stretch_target", "\nstretch_target,80.0\n", "\nstretch_target,80\n"),
+    ("responders", "\n8,10,3,23.7,", "\n8,10,03,23.7,"),
+])
+def test_csv_reader_takes_a_number_only_as_it_is_written(rate4_evaluation, column, written,
+                                                         edited):
+    text = render_combined_chart(rate4_evaluation, "csv")
+    assert text.count(written) == 1
+    with pytest.raises(ValueError, match=f"^{column}: expected '"):
+        evaluation_from_csv(text.replace(written, edited))
 
 
 # A key that no field of its object owns, at each level of a document.
