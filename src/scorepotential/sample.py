@@ -61,11 +61,12 @@ class CutOff:
         return f"{float(self.fraction) * 100:g}%"
 
 
+# A tie-repair key is below (2·groups + 2)·n ≤ (n + 2)·n: int64 under this bound, else Python int.
+KEY_INT64_BOUND = 2**63
+
+
 def _records(ids, scores: np.ndarray, responses: np.ndarray) -> list[ScoredRecord]:
-    return [
-        ScoredRecord(record_id, score, response)
-        for record_id, score, response in zip(ids, scores.tolist(), responses.tolist())
-    ]
+    return list(map(ScoredRecord, ids, scores.tolist(), responses.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,11 +97,8 @@ class SampleColumns:
     @classmethod
     def from_records(cls, records: Iterable[ScoredRecord]) -> SampleColumns:
         records = list(records)
-        return cls(
-            [r.id for r in records],
-            np.array([r.score for r in records], dtype=np.float64),
-            np.array([r.response for r in records], dtype=np.bool_),
-        )
+        return cls([r.id for r in records], np.array([r.score for r in records], np.float64),
+                   np.array([r.response for r in records], np.bool_))
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -114,12 +112,12 @@ class RankedSample:
     """A sample ranked by ascending score under a tie policy, as read-only columns.
 
     Position p holds rank p+1's record: rank 1 belongs to the lowest score,
-    rank #X to the highest.  One stable sort orders by score, then (but for
-    midrank) by the response flag that moves a tie group's responders to its
-    low or high end, so buckets and cut-offs slice positionally.  twice_ranks
-    holds each rank doubled, as int64, so midranks stay exact integers.  ids
-    (id_source through order, the permutation into rank order), records and
-    ranks are built when read.  A mutable id_source (a list or an array) is copied.
+    rank #X to the highest.  An unstable argsort orders by score; one sort of the
+    tied positions by a packed key (tie group, response flag but for midrank,
+    input index) makes that the stable order, so buckets and cut-offs slice
+    positionally.  twice_ranks holds each rank doubled (int64): midranks stay
+    integers.  ids (id_source through order, the permutation into rank order),
+    records and ranks are built when read.  A mutable id_source (a list or an array) is copied.
     """
 
     sample: InitVar[SampleColumns]
@@ -135,26 +133,30 @@ class RankedSample:
         tie_policy, n = TiePolicy(self.tie_policy), len(sample)
         if n == 0:
             raise EmptySample()
-        # lexsort's last key sorts first; responders go low when pessimistic.
-        flag = () if tie_policy is TiePolicy.MIDRANK else (
-            sample.responses if tie_policy is TiePolicy.OPTIMISTIC else ~sample.responses,)
-        order = np.lexsort((*flag, sample.scores))
+        order = np.argsort(sample.scores)  # unstable: the tie groups are repaired below
         scores = sample.scores[order]
-        starts = np.flatnonzero(np.concatenate(([True], scores[1:] != scores[:-1])))
-        if tie_policy is TiePolicy.MIDRANK:  # a tie group at i..j shares rank (i+1 + j+1)/2
-            sizes = np.diff(starts, append=n)
-            twice_ranks = np.repeat(2 * starts + sizes + 1, sizes)
-        else:
-            twice_ranks = np.arange(2, 2 * n + 1, 2, dtype=np.int64)
+        first = np.concatenate(([True], scores[1:] != scores[:-1]))  # starts a tie group
+        twice_ranks = np.arange(2, 2 * n + 1, 2, dtype=np.int64)
+        if has_ties := not first.all():  # sort the tied positions by one packed key
+            tied = ~(first & np.append(first[1:], True))
+            dtype = np.int64 if (n + 2) * n < KEY_INT64_BOUND else object
+            key = np.cumsum(first[tied], dtype=dtype) * (2 * n) + order[tied]  # group·2n + index
+            if tie_policy is not TiePolicy.MIDRANK:  # + flag·n; responders low if pessimistic
+                key += (sample.responses[order[tied]] != (tie_policy is TiePolicy.PESSIMISTIC)) * n
+            key.sort()
+            order[tied] = np.remainder(key, n, out=key)
+            scores[tied] = sample.scores[order[tied]]  # -0.0 and 0.0 keep their signs
+            if tie_policy is TiePolicy.MIDRANK:  # a tie group at i..j shares rank (i+1 + j+1)/2
+                sizes = np.diff(starts := np.flatnonzero(first), append=n)
+                twice_ranks = np.repeat(2 * starts + sizes + 1, sizes)
         responses = sample.responses[order]
         for column in (scores, responses, twice_ranks, order):
             column.flags.writeable = False
         copy = isinstance(sample.ids, MutableSequence) or not isinstance(sample.ids, Sequence)
         id_source = tuple(sample.ids) if copy else sample.ids
         # Frozen: set the derived fields past __setattr__.
-        vars(self).update(tie_policy=tie_policy, id_source=id_source, scores=scores,
-                          responses=responses, twice_ranks=twice_ranks, order=order,
-                          has_ties=len(starts) < n)
+        vars(self).update(tie_policy=tie_policy, id_source=id_source, scores=scores, order=order,
+                          responses=responses, twice_ranks=twice_ranks, has_ties=has_ties)
 
     @property
     def size_x(self) -> int:
@@ -191,10 +193,8 @@ class RankedSample:
         return tuple((self.twice_ranks / 2).tolist())
 
 
-def rank_sample(
-    sample: SampleColumns | Iterable[ScoredRecord],
-    tie_policy: TiePolicy = TiePolicy.MIDRANK,
-) -> RankedSample:
+def rank_sample(sample: SampleColumns | Iterable[ScoredRecord],
+                tie_policy: TiePolicy = TiePolicy.MIDRANK) -> RankedSample:
     """Rank columns, or records taken to columns first, by ascending score (RankedSample)."""
     columns = sample if isinstance(sample, SampleColumns) else SampleColumns.from_records(sample)
     return RankedSample(columns, tie_policy)

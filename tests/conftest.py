@@ -91,6 +91,14 @@ def brute_force_pop(records) -> float:
     return 100 * numerator / denominator
 
 
+def stable_rank_order(columns, tie_policy=TiePolicy.MIDRANK):
+    """The permutation into rank order by one stable np.lexsort: by score, then
+    (but for midrank) by the response flag, then by input order."""
+    flag = () if tie_policy is TiePolicy.MIDRANK else (
+        columns.responses if tie_policy is TiePolicy.OPTIMISTIC else ~columns.responses,)
+    return np.lexsort((*flag, columns.scores))
+
+
 def reference_rank(records, tie_policy=TiePolicy.MIDRANK):
     """Record-by-record ranking loop, the oracle for the columnar ranker.
 

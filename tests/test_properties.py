@@ -39,6 +39,7 @@ from scorepotential import (
     render_combined_chart,
     sample_csv,
 )
+import scorepotential.sample as sample_module
 from scorepotential.metrics import rank_sum_bounds
 from tests.conftest import (
     float_bits,
@@ -49,6 +50,7 @@ from tests.conftest import (
     reference_generate_sample,
     reference_profile,
     reference_rank,
+    stable_rank_order,
 )
 
 
@@ -294,6 +296,37 @@ def test_columnar_ranking_matches_the_reference_loop(records, policy):
     assert sample.has_ties == any(
         a.score == b.score for a, b in zip(expected_records, expected_records[1:])
     )
+
+
+@st.composite
+def large_rank_columns(draw):
+    """17 to 3 000 rows, from the six-score pool or unique floats: sizes where
+    numpy's unstable argsort really reorders the rows of a tie group."""
+    size = draw(st.integers(17, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        scores = rng.choice(SCORE_POOL, size)
+    else:
+        scores = (rng.permutation(size) - size // 2) * rng.uniform(1e-3, 1e3)
+    responses = rng.random(size) < draw(st.floats(0, 1))
+    return SampleColumns([f"n{i}" for i in range(size)], scores, responses)
+
+
+# Examples of up to 3 000 rows: a 1 s deadline, as for the generator property.
+# A bound of 0 makes every tie-repair key a Python int (the object-dtype path).
+@pytest.mark.parametrize("key_bound", [sample_module.KEY_INT64_BOUND, 0], ids=["int64", "object"])
+@given(columns=large_rank_columns(), policy=st.sampled_from(list(TiePolicy)))
+@settings(max_examples=60, deadline=1000)
+def test_columnar_ranking_matches_the_stable_sort_where_ties_reorder(key_bound, columns, policy):
+    with mock.patch.object(sample_module, "KEY_INT64_BOUND", key_bound):
+        ranked = rank_sample(columns, policy)
+    expected = stable_rank_order(columns, policy)
+    np.testing.assert_array_equal(ranked.order, expected)
+    np.testing.assert_array_equal(np.signbit(ranked.scores), np.signbit(columns.scores[expected]))
+    expected_records, expected_ranks = reference_rank(columns.records(), policy)
+    assert ranked.twice_ranks.tolist() == [int(2 * rank) for rank in expected_ranks]
+    assert ranked.has_ties == any(
+        a.score == b.score for a, b in zip(expected_records, expected_records[1:]))
 
 
 @given(records=pooled_score_records(need_responder=True),

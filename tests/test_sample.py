@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 import pytest
@@ -15,10 +16,11 @@ from scorepotential import (
     SampleColumns,
     ScoredRecord,
     TiePolicy,
+    generate_sample,
     pop_exact,
     rank_sample,
 )
-from tests.conftest import ten_name_records
+from tests.conftest import stable_rank_order, ten_name_records
 
 
 def test_ten_name_ranks_responders_at_9_6_5(ten_name_sample):
@@ -192,3 +194,26 @@ def test_sample_columns_validate_their_input():
     with pytest.raises(NonFiniteScore) as excinfo:
         SampleColumns(["a", "b"], [1.0, float("nan")], [0, 1])
     assert excinfo.value.record_id == "b"
+
+
+@cache
+def large_sample(shape):
+    if shape == "ties-library":  # 50 000 generated rows with about 160 distinct scores
+        columns = SampleColumns.from_records(generate_sample(50_000, Fraction(1, 25), 0.6, 11))
+        return SampleColumns(columns.ids, np.round(columns.scores, 2), columns.responses)
+    rng = np.random.default_rng(23)
+    if shape == "all-equal":  # one tie group of every row
+        return SampleColumns(range(100_000), np.full(100_000, 0.5), rng.random(100_000) < 0.3)
+    scores = rng.permutation(200_000) / 8 - 1000  # unique: no group to repair
+    return SampleColumns(range(200_000), scores, rng.random(200_000) < 0.04)
+
+
+@pytest.mark.parametrize("policy", list(TiePolicy))
+@pytest.mark.parametrize("shape, has_ties", [("ties-library", True), ("all-equal", True),
+                                             ("unique", False)])
+def test_large_samples_rank_in_the_stable_sort_order(shape, has_ties, policy):
+    columns = large_sample(shape)
+    ranked = RankedSample(columns, policy)
+    np.testing.assert_array_equal(ranked.order, stable_rank_order(columns, policy))
+    np.testing.assert_array_equal(ranked.scores, np.sort(columns.scores))
+    assert ranked.has_ties is has_ties
