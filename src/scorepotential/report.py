@@ -210,11 +210,17 @@ def _codec(hint) -> _Codec:
     if get_origin(hint) is dict:  # dict[K, V]: a list of V objects, each with K's one field
         ((key_field, _, key),) = _fields(args[0])
         name, value = FIELD_COLUMNS.get(key_field, key_field), _codec(args[1])
+
+        def load_entry(entry: dict) -> tuple:
+            entry = dict(_expect(entry, type(entry) is dict, "an object"))
+            if name not in entry:
+                raise ValueError(f"lacks the key {name!r}")
+            return args[0](_take(key, entry.pop(name))), _take(value, entry)
+
         return _Codec({list: "a list"},
                       lambda m: [{name: key.dump(getattr(k, key_field)), **value.dump(v)}
                                  for k, v in m.items()],
-                      lambda entries: _once_each([(args[0](_take(key, e[name])), _take(value, {
-                          f: v for f, v in e.items() if f != name})) for e in entries], name))
+                      lambda entries: _once_each(list(map(load_entry, entries)), name))
     # A dataclass or NamedTuple: a JSON object of its fields, of which only
     # those with a dump or load are converted; a field of its first kind needs
     # no check.  vars(o) would copy faster, but it gives the object a __dict__
@@ -234,7 +240,10 @@ def _codec(hint) -> _Codec:
         return dict(zip(names, values))
 
     def load(doc: dict):
-        values = list(get(doc))
+        try:
+            values = list(get(doc))
+        except KeyError as err:
+            raise ValueError(f"lacks the key {err}") from None
         if len(doc) != len(names) and (unknown := doc.keys() - names):
             raise ValueError(f"unknown key {min(unknown)!r}")
         for i, convert in loaded if tuple(map(type, values)) == usual else taken:
@@ -323,11 +332,10 @@ def evaluation_to_dict(evaluation: ModelEvaluation) -> dict:
 
 
 def evaluation_from_dict(data: dict) -> ModelEvaluation:
-    try:  # the evaluation's former copies of its chart's PoP approximations are ignored
-        return _codec(ModelEvaluation).load({k: v for k, v in data.items() if k not in (
-            "pop_approx", "pop_approx_min", "pop_approx_max")})
-    except KeyError as err:
-        raise ValueError(f"evaluation document lacks the key {err}") from None
+    if isinstance(data, dict):  # ignoring the former copies of the chart's PoP approximations
+        data = {k: v for k, v in data.items() if k not in (
+            "pop_approx", "pop_approx_min", "pop_approx_max")}
+    return _take(_codec(ModelEvaluation), data)
 
 
 # How json.dumps spells each JSON leaf: NaN and +-Infinity, never nan or inf.
@@ -394,11 +402,26 @@ def evaluation_to_csv(
         writer.writerows(_rows(section, evaluation))
     if economics is not None:
         writer.writerow([])
-        summary = economics_summary(economics)
-        loss = summary["spreading_loss"]
-        summary["spreading_loss"] = None if loss is None else loss["loss"]
-        writer.writerows(summary.items())
+        writer.writerows(_economics_rows(economics))
     return out.getvalue()
+
+
+def _economics_rows(economics: CampaignEconomics) -> list[list[str]]:
+    """The economics section: the dump's items, with the spreading loss as its loss."""
+    summary = economics_summary(economics)
+    if (loss := summary["spreading_loss"]) is not None:
+        summary["spreading_loss"] = loss["loss"]
+    return [[name, "" if value is None else str(value)] for name, value in summary.items()]
+
+
+def _is_economics(rows: list[list[str]]) -> bool:
+    """Whether rows are the economics section written for the figures of their first three."""
+    try:
+        (_, total), (_, addresses), (_, responders), *_ = rows
+        return rows == _economics_rows(
+            CampaignEconomics(_fraction(total), int(addresses), int(responders)))
+    except ValueError:
+        return False
 
 
 def _read_table(rows: list[list[str]], section: list[tuple]) -> dict[str, list]:
@@ -434,6 +457,10 @@ def evaluation_from_csv(text: str) -> ModelEvaluation:
     (chart,) = _build(GainsChart, {**meta, **table, "buckets": _build(Bucket, table)})
     profile = _once_each(list(zip(_build(CutOff, points), _build(BeniPoint, points))), "cutoff")
     (evaluation,) = _build(ModelEvaluation, {**meta, "gains": [chart], "beni_profile": [profile]})
+    for number, rows in enumerate(sections[3:], start=4):
+        if number > 4 or not _is_economics(rows):
+            raise ValueError(f"section {number}: only the economics section its first three "
+                             "rows give may follow the profile")
     return evaluation
 
 

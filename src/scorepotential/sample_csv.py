@@ -216,6 +216,8 @@ def _read_strict(handle, ids, seen, scores, responses, taken: int) -> None:
             responses.append(response_text == "1")
     except csv.Error as err:  # a field over csv.field_size_limit()
         raise MalformedRow(taken + reader.line_num, str(err)) from None
+    finally:
+        text.detach()  # the handle stays open, for its owner to close
 
 
 def _csv_slices(sample: SampleColumns | Iterable[ScoredRecord]) -> Iterator[str]:

@@ -128,6 +128,34 @@ def test_csv_reader_needs_three_sections(rate4_evaluation):
         evaluation_from_csv("\n\n".join(meta_and_buckets))
 
 
+@pytest.mark.parametrize("economics", [CampaignEconomics(Fraction(101, 2), 100_000, 4_000),
+                                       CampaignEconomics(100, 10, 0)])
+def test_csv_reader_loads_the_economics_section_it_writes(rate4_evaluation, economics):
+    text = render_combined_chart(rate4_evaluation, "csv", economics)
+    assert evaluation_from_csv(text) == rate4_evaluation
+
+
+@pytest.mark.parametrize("number, edit", [
+    (4, lambda plain, econ: plain + "\nfoo,bar\n"),
+    (4, lambda plain, econ: plain + "\n" + plain.split("\n\n")[1]),  # a second bucket table
+    (4, lambda plain, econ: econ.replace("cost_per_thousand,500", "cost_per_thousand,999")),
+    (4, lambda plain, econ: econ.replace("addresses,100000", "addresses,100000.0")),
+    (4, lambda plain, econ: econ.replace("spreading_loss,975/2", "spreading_loss,")),
+    (4, lambda plain, econ: econ.replace("total_cost,50000\n", "")),
+    (4, lambda plain, econ: econ + "extra,1\n"),
+    (5, lambda plain, econ: econ + "\nfoo,bar\n"),
+    (5, lambda plain, econ: econ + "\n" + econ.split("\n\n")[3]),  # the economics twice
+], ids=["foo-bar", "second-bucket-table", "edited-cost-per-thousand", "float-addresses",
+        "empty-loss", "no-total-cost", "extra-row", "after-economics", "economics-twice"])
+def test_csv_reader_refuses_any_other_trailing_section(rate4_evaluation, number, edit):
+    plain, econ = (render_combined_chart(rate4_evaluation, "csv", economics) for economics in
+                   (None, CampaignEconomics(50_000, 100_000, 4_000)))
+    edited = edit(plain, econ)
+    assert edited not in (plain, econ)
+    with pytest.raises(ValueError, match=f"^section {number}: "):
+        evaluation_from_csv(edited)
+
+
 @pytest.mark.parametrize("path", [("gains", "p_down_chart"), ("beni_profile", 0, "beni_max")])
 def test_json_reader_names_a_missing_key(rate4_evaluation, path):
     data = evaluation_to_dict(rate4_evaluation)
@@ -138,6 +166,39 @@ def test_json_reader_names_a_missing_key(rate4_evaluation, path):
     del owner[key]
     with pytest.raises(ValueError, match=repr(key)):
         evaluation_from_dict(data)
+
+
+@pytest.mark.parametrize("document", [[], "x"])
+def test_json_reader_refuses_a_document_that_is_not_an_object(document):
+    with pytest.raises(ValueError, match=f"^expected an object, not {re.escape(repr(document))}$"):
+        evaluation_from_dict(document)
+
+
+@pytest.mark.parametrize("entry", [[1], "x", 3])
+def test_json_reader_refuses_a_profile_entry_that_is_not_an_object(rate4_evaluation, entry):
+    data = evaluation_to_dict(rate4_evaluation)
+    data["beni_profile"][0] = entry
+    with pytest.raises(ValueError) as caught:
+        evaluation_from_dict(data)
+    assert str(caught.value) == f"beni_profile: expected an object, not {entry!r}"
+
+
+@pytest.mark.parametrize("path, message", [
+    (("model_id",), "lacks the key 'model_id'"),
+    (("gains", "buckets", 0, "names"), "gains: buckets: lacks the key 'names'"),
+    (("beni_profile", 1, "cutoff"), "beni_profile: lacks the key 'cutoff'"),
+    (("beni_profile", 1, "beni"), "beni_profile: lacks the key 'beni'"),
+])
+def test_json_reader_names_a_missing_key_by_its_path(rate4_evaluation, path, message):
+    data = evaluation_to_dict(rate4_evaluation)
+    *parents, key = path
+    owner = data
+    for step in parents:
+        owner = owner[step]
+    del owner[key]
+    with pytest.raises(ValueError) as caught:
+        evaluation_from_dict(data)
+    assert str(caught.value) == message
 
 
 @pytest.mark.parametrize("replacement", ["", "p_down_chart\n"])
