@@ -187,14 +187,25 @@ def generate_columns(size: int, base_rate, quality: float, seed: int) -> SampleC
         raise ValueError("base rate must lie in (0, 1]")
     if not 0 <= quality <= 1:
         raise ValueError("quality must lie in [0, 1]")
+    if seed < 0:
+        raise ValueError("seed must be a non-negative integer")
 
     k = round_half_up(rate * size)
     rng = np.random.default_rng(seed)
     responses = np.zeros(size, dtype=np.bool_)
     responses[rng.choice(size, k, replace=False)] = True
     scores = rng.random(size) + quality * responses
-    id_format = f"n%0{max(6, len(str(size)))}d"
-    ids = [id_format % i for i in range(1, size + 1)]
+    width = max(6, len(str(size)))
+    ids = []
+    # A slice at a time bounds the buffers; a row holds 'n', the digits and a comma.
+    for start in range(1, size + 1, 1 << 16):
+        numbers = np.arange(start, min(start + (1 << 16), size + 1))
+        cells = np.full((len(numbers), width + 2), ord("n"), np.uint8)
+        cells[:, -1] = ord(",")
+        for column in range(width, 0, -1):
+            numbers, cells[:, column] = np.divmod(numbers, 10)
+        cells[:, 1:-1] += ord("0")
+        ids += cells.tobytes().decode("ascii").split(",")[:-1]
     return SampleColumns(ids, scores, responses)
 
 

@@ -224,9 +224,9 @@ def _csv_slices(sample: SampleColumns | Iterable[ScoredRecord]) -> Iterator[str]
     """The header line, then the CSV text of SLICE_ROWS rows at a time.
 
     Takes columns, or records whose columns are extracted first.  Scores are
-    written as repr, responses as 0/1.  A slice's lines are formatted
-    directly unless one of its ids holds a character csv.writer may quote;
-    then csv.writer writes its rows, so the bytes are csv.writer's either way.
+    written as repr, responses as 0/1.  A slice is formatted by one % of its
+    cells unless one of its ids holds a character csv.writer may quote; then
+    csv.writer writes its rows, so the bytes are csv.writer's either way.
     """
     columns = sample if isinstance(sample, SampleColumns) else SampleColumns.from_records(sample)
     yield _HEADER_LINE
@@ -239,8 +239,10 @@ def _csv_slices(sample: SampleColumns | Iterable[ScoredRecord]) -> Iterator[str]
             quoted = any(char in "".join(ids) for char in ',"\r\n')
         except TypeError:  # an id that is not a str, formatted the way csv.writer does
             quoted = True
-        if not quoted:
-            yield "".join([f"{i},{s!r},{r}\n" for i, s, r in zip(ids, scores, responses)])
+        if not quoted:  # an id is an argument of the format, never part of it
+            cells = [None] * (3 * len(ids))
+            cells[0::3], cells[1::3], cells[2::3] = ids, scores, responses
+            yield ("%s,%r,%d\n" * len(ids)) % tuple(cells)
             continue
         out = io.StringIO()
         csv.writer(out, lineterminator="\n").writerows(zip(ids, map(repr, scores), responses))

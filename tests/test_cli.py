@@ -261,11 +261,14 @@ def test_range_and_usage_errors_exit_2(command, tmp_path):
     assert excinfo.value.code == 2
 
 
-def test_any_value_generate_sample_rejects_is_a_usage_error(tmp_path):
-    # numpy rejects a negative seed; that too exits 2 rather than with a traceback.
+def test_any_value_generate_sample_rejects_is_a_usage_error(tmp_path, capsys):
+    # The generator refuses a negative seed before drawing, naming the seed;
+    # that too exits 2 rather than with a traceback.
     with pytest.raises(SystemExit) as excinfo:
         main(GEN.format(tmp=tmp_path).split() + ["--seed", "-1"], out=io.StringIO())
     assert excinfo.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "scorepotential gen: error: seed must be a non-negative integer\n")
 
 
 # Errors found after parsing: by the library, or by a rule across flags.

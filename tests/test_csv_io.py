@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 from array import array
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from scorepotential import (
     write_sample_csv,
 )
 from scorepotential import sample_csv
-from tests.conftest import read_csv_bytes, reference_rank, ten_name_records
+from tests.conftest import (read_csv_bytes, reference_csv_text, reference_rank,
+                            ten_name_records)
 
 
 def _write(tmp_path, text):
@@ -123,6 +125,16 @@ def test_round_trip_preserves_full_float_precision(tmp_path):
 def test_ids_that_are_not_strings_are_written_as_before():
     records = [ScoredRecord(5, 1.0, 0), ScoredRecord(None, 2.0, 1)]
     assert records_to_csv_text(records) == "id,score,response\n5,1.0,0\n,2.0,1\n"
+
+
+# A slice is written by one % of its cells, so an id must be an argument of
+# that format, never part of it.
+@pytest.mark.parametrize("slice_rows", [1, 2, sample_csv.SLICE_ROWS])
+def test_ids_that_look_like_format_directives_are_written_as_they_are(slice_rows):
+    ids = ["%s", "%d", "%%", "%(x)s", "100%", "é€😀"]
+    records = [ScoredRecord(record_id, i / 7, i % 2) for i, record_id in enumerate(ids)]
+    with mock.patch.object(sample_csv, "SLICE_ROWS", slice_rows):
+        assert records_to_csv_text(records) == reference_csv_text(records)
 
 
 def test_blank_first_line_does_not_skip_the_header_check(tmp_path):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from scorepotential import (
     ScoredRecord,
     compare_models,
     evaluate_model,
+    generate_columns,
     generate_sample,
     perfect_rank_sum,
     rank_sample,
@@ -248,3 +250,21 @@ class TestGenerateSample:
             generate_sample(10, 0, 0.5, 1)
         with pytest.raises(ValueError):
             generate_sample(10, 0.5, 1.5, 1)
+
+    # The ids are built 65 536 at a time, so 999 999 rows cross 15 slice seams
+    # at six digits and 1 000 000 rows switch to seven.
+    @pytest.mark.parametrize("size, width", [(999_999, 6), (1_000_000, 7)])
+    def test_ids_count_from_one_at_the_width_of_the_size(self, size, width):
+        ids = generate_columns(size, Fraction(1, 25), 0.6, 1).ids
+        assert ids == [f"n{i:0{width}d}" for i in range(1, size + 1)]
+
+    def test_building_the_ids_holds_little_memory_beyond_the_sample(self):
+        generate_columns(10, Fraction(1, 25), 0.6, 1)  # lazy imports and caches first
+        tracemalloc.start()
+        try:
+            columns = generate_columns(500_000, Fraction(1, 25), 0.6, 1)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(columns) == 500_000
+        assert peak - held < 4_000_000
