@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -94,3 +95,11 @@ def test_labels_are_escaped():
     # Text content needs no quote escaping; html.escape(quote=False) leaves " alone.
     svg = render_pop_vs_beni_figure([('x>y"z', 50.0, 40.0), ("d", 60.0, 40.0)])
     assert 'x&gt;y"z</text>' in svg
+
+
+def test_a_label_with_markup_characters_leaves_the_document_well_formed():
+    label = """a&b<c>d"e'f"""
+    svg = render_pop_vs_beni_figure([(label, 50.0, 40.0), ("d", 60.0, 40.0)])
+    root = ET.fromstring(svg.encode("utf-8"))
+    texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert label in texts

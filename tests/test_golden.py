@@ -2,8 +2,9 @@
 
 Round-trip tests cannot see a change of bytes that parses back to an equal
 value (say, degeneracy flags written unsorted); these tests can.  The files
-under tests/golden/ are the documents the CLI writes for the worked samples
-and for a tied sample of 200 names charted in 50 buckets.
+under tests/golden/ are the documents the CLI writes for the worked samples,
+for a tied sample of 200 names charted in 50 buckets, and the figure that
+``compare --figure`` draws for two generated samples.
 Regenerate them with ``python -m tests.test_golden`` from the repository
 root, and only for an intended change of output.
 """
@@ -83,6 +84,8 @@ CASES = {
     # Every name responds; ids keep their minimum width of six digits.
     "gen_5_all_responders.csv":
         ["gen", "--size", "5", "--rate", "1", "--quality", "1", "--seed", "3"],
+    # The figure file, not stdout: a weak and a strong generated model.
+    "compare_gen_figure.svg": ["compare", "low", "high", "--figure", "figure.svg"],
 }
 
 # sha256 of the `gen` output at the benchmark's size, rate and quality.
@@ -101,17 +104,22 @@ def samples() -> dict[str, list[ScoredRecord]]:
         "rate4": bucketed_records(RATE4_DECILE_RESPONDERS, 10),
         "rate8": bucketed_records(RATE8_DECILE_RESPONDERS, 10),
         "all_responders": all_responders,
+        "low": generate_columns(1000, Fraction(1, 25), 0.3, 1).records(),
+        "high": generate_columns(1000, Fraction(1, 25), 0.8, 2).records(),
     }
 
 
 def render_case(name: str, folder: Path) -> str:
-    paths = {}
+    """The bytes the case writes: stdout, or for an .svg case the figure file."""
+    paths = {"figure.svg": folder / "figure.svg"}
     for stem, records in samples().items():
         paths[stem] = folder / f"{stem}.csv"
         paths[stem].write_text(records_to_csv_text(records), encoding="utf-8")
     argv = [str(paths.get(arg, arg)) for arg in CASES[name]]
     out = io.StringIO()
     assert main(argv, out=out) == 0
+    if name.endswith(".svg"):
+        return paths["figure.svg"].read_text(encoding="utf-8")
     return out.getvalue()
 
 
