@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import scorepotential
 from scorepotential import TooFewPoints, render_pop_vs_beni_figure
 from scorepotential.figure import x_position, y_position
 
@@ -103,3 +108,11 @@ def test_a_label_with_markup_characters_leaves_the_document_well_formed():
     root = ET.fromstring(svg.encode("utf-8"))
     texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
     assert label in texts
+
+
+def test_html_is_imported_by_a_figure_not_by_the_package():
+    code = ("import sys, scorepotential as s; assert 'html' not in sys.modules; "
+            "s.render_pop_vs_beni_figure([('a', 1.0, 1.0), ('b', 2.0, 2.0)]); "
+            "assert 'html' in sys.modules")
+    env = {**os.environ, "PYTHONPATH": str(Path(scorepotential.__file__).resolve().parents[1])}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)
