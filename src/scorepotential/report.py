@@ -332,9 +332,6 @@ def evaluation_to_dict(evaluation: ModelEvaluation) -> dict:
 
 
 def evaluation_from_dict(data: dict) -> ModelEvaluation:
-    if isinstance(data, dict):  # ignoring the former copies of the chart's PoP approximations
-        data = {k: v for k, v in data.items() if k not in (
-            "pop_approx", "pop_approx_min", "pop_approx_max")}
     return _take(_codec(ModelEvaluation), data)
 
 

@@ -11,26 +11,31 @@ root, and only for an intended change of output.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import io
 import json
 import tempfile
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from scorepotential import (
+    CampaignEconomics,
     EvaluationContext,
     ScoredRecord,
     evaluate_model,
     evaluation_from_csv,
+    evaluation_to_csv,
     generate_columns,
     rank_sample,
     records_to_csv_text,
     render_combined_chart,
 )
 from scorepotential.cli import main
+from scorepotential.report import BUCKET_CSV_HEADER, PROFILE_CSV_HEADER
 from tests.conftest import (
     RATE4_DECILE_RESPONDERS,
     RATE8_DECILE_RESPONDERS,
@@ -137,6 +142,58 @@ def test_gen_bytes_at_the_benchmark_size_are_pinned():
 
 def test_every_golden_file_has_a_case():
     assert sorted(p.name for p in GOLDEN_DIR.iterdir()) == sorted(CASES)
+
+
+# Single-cell mutations of the evaluation CSV goldens, and the cells that the
+# load rules check by value, not by spelling: the float columns of the bucket
+# (section 2) and profile (section 3) tables.
+SPELLINGS = (lambda c: "", lambda c: " " + c, lambda c: "+" + c, lambda c: "0" + c,
+             lambda c: c + "0", lambda c: "-0.0")
+BY_VALUE = {(2, column) for column in BUCKET_CSV_HEADER[3:-1]} | {
+    (3, column) for column in PROFILE_CSV_HEADER[1:]}
+
+
+def mutations(text: str):
+    """(section number, column name, document) for each spelling of each cell."""
+    lines = text.splitlines(keepends=True)
+    section, header = 1, None
+    for number, line in enumerate(lines):
+        if line == "\n":
+            section, header = section + 1, None
+            continue
+        row = next(csv.reader([line]))
+        header = header or row
+        for i, cell in enumerate(row):
+            # A meta or economics row is name,value; a table cell is named by its header.
+            column = row[0] if section in (1, 4) else header[i]
+            for spelling in {spell(cell) for spell in SPELLINGS} - {cell}:
+                out = io.StringIO()
+                csv.writer(out, lineterminator="\n").writerow(
+                    [*row[:i], spelling, *row[i + 1:]])
+                yield section, column, "".join([*lines[:number], out.getvalue(),
+                                                *lines[number + 1:]])
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CASES if n.startswith("evaluate_")
+                                        and n.endswith(".csv")))
+def test_a_mutated_cell_is_refused_or_renders_back(name):
+    golden = (GOLDEN_DIR / name).read_text(encoding="utf-8")
+    options = dict(zip(CASES[name], CASES[name][1:]))
+    economics = CampaignEconomics(Fraction(options["--total-cost"]), int(options["--addresses"]),
+                                  int(options["--responders"])) if "--total-cost" in options else None
+    outcomes = Counter()
+    for section, column, document in mutations(golden):
+        try:
+            rendered = evaluation_to_csv(evaluation_from_csv(document), economics)
+        except ValueError:
+            outcomes["refused"] += 1
+            continue
+        if rendered == document:
+            outcomes["itself"] += 1
+        else:
+            assert rendered == golden and (section, column) in BY_VALUE, (section, column)
+            outcomes["by value"] += 1
+    assert outcomes["refused"] > outcomes["itself"] > 0 < outcomes["by value"]
 
 
 def test_flags_are_written_sorted():

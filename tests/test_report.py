@@ -579,12 +579,14 @@ def test_json_reader_takes_an_object_only_with_its_own_fields(rate4_evaluation, 
         evaluation_from_dict(data)
 
 
-def test_a_document_with_the_evaluations_old_pop_approx_copies_still_loads(rate4_evaluation):
+@pytest.mark.parametrize("key, field", [("pop_approx", "pop_approx"),
+                                        ("pop_approx_min", "pop_min_variant"),
+                                        ("pop_approx_max", "pop_max_variant")])
+def test_a_former_top_level_pop_approx_copy_is_refused(rate4_evaluation, key, field):
     data = evaluation_to_dict(rate4_evaluation)
-    gains = data["gains"]
-    data.update(pop_approx=gains["pop_approx"], pop_approx_min=gains["pop_min_variant"],
-                pop_approx_max=gains["pop_max_variant"])
-    assert evaluation_from_dict(json.loads(to_json(data))) == rate4_evaluation
+    data[key] = data["gains"][field]
+    with pytest.raises(ValueError, match=rf"^unknown key '{key}'$"):
+        evaluation_from_dict(json.loads(to_json(data)))
 
 
 def test_each_field_fills_exactly_one_csv_column():
