@@ -166,7 +166,8 @@ def mutations(text: str):
         for i, cell in enumerate(row):
             # A meta or economics row is name,value; a table cell is named by its header.
             column = row[0] if section in (1, 4) else header[i]
-            for spelling in {spell(cell) for spell in SPELLINGS} - {cell}:
+            spellings = dict.fromkeys(spell(cell) for spell in SPELLINGS)
+            for spelling in (s for s in spellings if s != cell):
                 out = io.StringIO()
                 csv.writer(out, lineterminator="\n").writerow(
                     [*row[:i], spelling, *row[i + 1:]])
@@ -179,15 +180,17 @@ def mutations(text: str):
 def test_a_mutated_cell_is_refused_or_renders_back(name):
     golden = (GOLDEN_DIR / name).read_text(encoding="utf-8")
     options = dict(zip(CASES[name], CASES[name][1:]))
-    economics = CampaignEconomics(Fraction(options["--total-cost"]), int(options["--addresses"]),
-                                  int(options["--responders"])) if "--total-cost" in options else None
+    economics = None if "--total-cost" not in options else CampaignEconomics(
+        Fraction(options["--total-cost"]), int(options["--addresses"]),
+        int(options["--responders"]))
     outcomes = Counter()
     for section, column, document in mutations(golden):
         try:
-            rendered = evaluation_to_csv(evaluation_from_csv(document), economics)
+            evaluation = evaluation_from_csv(document)
         except ValueError:
             outcomes["refused"] += 1
             continue
+        rendered = evaluation_to_csv(evaluation, economics)
         if rendered == document:
             outcomes["itself"] += 1
         else:
