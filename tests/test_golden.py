@@ -3,8 +3,9 @@
 Round-trip tests cannot see a change of bytes that parses back to an equal
 value (say, degeneracy flags written unsorted); these tests can.  The files
 under tests/golden/ are the documents the CLI writes for the worked samples,
-for a tied sample of 200 names charted in 50 buckets, and the figure that
-``compare --figure`` draws for two generated samples.
+for a tied sample of 200 names charted in 50 buckets, for the committed
+1 000-name generated sample, and the figure that ``compare --figure`` draws
+for two generated samples.
 Regenerate them with ``python -m tests.test_golden`` from the repository
 root, and only for an intended change of output.
 """
@@ -66,6 +67,7 @@ CASES = {
         ["evaluate", "rate8", "--format", "csv", *NO_RESPONDER_ECONOMICS],
     "evaluate_rate8_no_responder_economics.txt":
         ["evaluate", "rate8", *NO_RESPONDER_ECONOMICS],
+    "evaluate_gen_1000_rate4.json": ["evaluate", "gen_1000_rate4", "--format", "json"],
     "compare_target80.json":
         ["compare", "rate4", "rate8", "all_responders", "--target", "80", "--format", "json"],
     "compare_target80.csv":
@@ -111,6 +113,8 @@ def samples() -> dict[str, list[ScoredRecord]]:
         "all_responders": all_responders,
         "low": generate_columns(1000, Fraction(1, 25), 0.3, 1).records(),
         "high": generate_columns(1000, Fraction(1, 25), 0.8, 2).records(),
+        # The sample that gen_1000_rate4.csv holds.
+        "gen_1000_rate4": generate_columns(1000, Fraction(1, 25), 0.6, 20100707).records(),
     }
 
 
@@ -138,6 +142,11 @@ def test_gen_bytes_at_the_benchmark_size_are_pinned():
     out = io.StringIO()
     assert main(GEN_200K_ARGS, out=out) == 0
     assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == GEN_200K_SHA256
+
+
+def test_the_gen_1000_rate4_sample_is_the_gen_golden():
+    text = records_to_csv_text(samples()["gen_1000_rate4"])
+    assert text == (GOLDEN_DIR / "gen_1000_rate4.csv").read_text(encoding="utf-8")
 
 
 def test_every_golden_file_has_a_case():
