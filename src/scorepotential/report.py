@@ -344,43 +344,32 @@ _JSON_LEAVES = {str: json_string, int: int.__repr__, type(None): lambda _: "null
 def to_json(data: dict) -> str:
     """json.dumps(data, indent=2, sort_keys=True) and a newline, byte for byte,
     without the pure-Python encoder that json.dumps takes under an indent."""
-    return _json(data, "\n") + "\n"
-
-
-def _json(value, indent: str) -> str:
-    """value as json.dumps writes it, where indent starts each of its lines."""
-    leaf, inner = _JSON_LEAVES.get, indent + "  "
-    if type(value) is dict:  # leaves written in place: most values are leaves
-        items = [f"{json_string(key)}: {f(v) if (f := leaf(type(v))) else _json(v, inner)}"
-                 for key, v in sorted(value.items())]
-    elif type(value) in (list, tuple):
-        items = _items(value, inner)
-    elif f := leaf(type(value)):
-        return f(value)
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    start, end = "{}" if type(value) is dict else "[]"
-    return f"{start}{inner}{(',' + inner).join(items)}{indent}{end}" if items else start + end
+    return _items([data], "\n")[0] + "\n"
 
 
 def _items(values, indent: str) -> list[str]:
-    """The JSON of each of values, where indent starts each line.
-
-    A list of one leaf type is written in one pass, and a list of objects
-    with one key set a column at a time, into one template per list.
-    """
+    """The JSON of each of values, where indent starts each line: a column of one
+    leaf type in one pass, objects of one key set a key column at a time into one
+    template, each list or tuple as its items' column in brackets, else a value at a time."""
     kinds = set(map(type, values))
     kind = kinds.pop() if len(kinds) == 1 else None
     if f := _JSON_LEAVES.get(kind):  # a finite sum: no float is NaN or +-inf
         return list(map(float.__repr__ if kind is float and isfinite(sum(values)) else f, values))
+    inner = indent + "  "
     if kind is dict and (keys := sorted(values[0])) and all(
             v.keys() == values[0].keys() for v in values):
-        inner = indent + "  "
         template = "{" + ",".join(f"{inner}{json_string(key).replace('%', '%%')}: %s"
                                   for key in keys) + indent + "}"
         columns = [_items(list(map(itemgetter(key), values)), inner) for key in keys]
         return [template % row for row in zip(*columns)]
-    return [_json(v, indent) for v in values]
+    if kind in (list, tuple):
+        return [f"[{inner}{(',' + inner).join(_items(v, inner))}{indent}]" if v else "[]"
+                for v in values]
+    if len(values) > 1:  # mixed kinds, or objects of other key sets
+        return [_items([v], indent)[0] for v in values]
+    if kind is dict:  # a lone empty object
+        return ["{}"]
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _rows(section: list[tuple], evaluation: ModelEvaluation):

@@ -718,12 +718,16 @@ def test_json_spells_non_finite_floats_as_json_dumps_does():
     assert "nan" not in text and "inf" not in text
 
 
-def test_json_refuses_what_json_dumps_refuses():
-    for value in (Fraction(1, 2), {1, 2}, b"x"):
-        with pytest.raises(TypeError):
-            json.dumps(value)
-        with pytest.raises(TypeError):
-            to_json({"a": [value]})
+@pytest.mark.parametrize("value", [Fraction(1, 2), {1, 2}, b"x"], ids=["fraction", "set", "bytes"])
+@pytest.mark.parametrize("place", [
+    lambda v: {"a": v}, lambda v: {"a": [v]}, lambda v: {"a": [{"k": v}, {"k": 1}]},
+    lambda v: {"a": [1, v]},
+], ids=["object value", "list item", "shared keys", "mixed list"])
+def test_json_refuses_what_json_dumps_refuses(value, place):
+    with pytest.raises(TypeError):
+        json.dumps(place(value))
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        to_json(place(value))
 
 
 JSON_KEYS = st.text(max_size=6)
