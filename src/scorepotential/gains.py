@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import IndivisibleBuckets, NoResponders
 from .metrics import benefit_index, ceiling_and_attainment, rank_sum_bounds
+from .rounding import fraction_cell
 from .sample import RankedSample
 
 # Each chart operand is at most 200*k*X**2: below 2**53 it is an exact double in
@@ -79,8 +80,9 @@ class GainsChart:
 
 @lru_cache(maxsize=16)
 def _row_cutoffs(bucket_count: int) -> tuple[Fraction, ...]:
-    """The cut-offs 1/B, 2/B, ..., 1 of a chart's rows, one tuple per bucket count."""
-    return tuple(Fraction(row, bucket_count) for row in range(1, bucket_count + 1))
+    """The cut-offs 1/B, ..., 1 of a chart's rows, as their cells load, one tuple per bucket count."""
+    return tuple(fraction_cell(str(Fraction(row, bucket_count)))
+                 for row in range(1, bucket_count + 1))
 
 
 def build_gains_chart(sample: RankedSample, bucket_count: int) -> GainsChart:

@@ -12,11 +12,10 @@ import csv
 import io
 import json
 from collections import namedtuple
-from contextlib import suppress
 from dataclasses import fields, is_dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
-from functools import cache, lru_cache, partial
+from functools import cache, partial
 from itertools import groupby
 from json.encoder import encode_basestring_ascii as json_string
 from math import isfinite
@@ -26,7 +25,7 @@ from typing import Callable, get_args, get_origin, get_type_hints
 from .economics import CampaignEconomics
 from .engine import BeniPoint, ComparisonReport, ModelEvaluation
 from .gains import Bucket, GainsChart
-from .rounding import round_half_up
+from .rounding import fraction_cell, round_half_up
 from .sample import CutOff
 
 CHART_HEADERS = [
@@ -133,16 +132,6 @@ FIELD_COLUMNS = {"pop_min_variant": "pop_approx_min", "pop_max_variant": "pop_ap
                  "row_cutoffs": "row_cutoff", "fraction": "cutoff"}
 
 
-# A chart's cut-off cells repeat in every document of its bucket count: each
-# is parsed once while it stays among the last few thousand (errors are not kept).
-@lru_cache(maxsize=4096)
-def _fraction(text: str) -> Fraction:
-    with suppress(ZeroDivisionError):  # "1/0"
-        if str(value := Fraction(text)) == text:
-            return value
-    raise ValueError(f"expected a p/q string in lowest terms with q > 0, not {text!r}")
-
-
 def _flags(v: list) -> frozenset[str]:  # as written: non-empty strings, sorted, each once
     ok = all(type(f) is str and f for f in v) and v == sorted(set(v))
     return frozenset(_expect(v, ok, "a list of strings, non-empty, sorted and each once"))
@@ -173,7 +162,7 @@ _LEAF_CODECS = {
     float: _Codec({float: "a float"}, parse=float),
     bool: _Codec({bool: "true, false"}, cell=lambda v: "true" if v else "false",
                  parse=lambda s: _BOOLS[_expect(s, s in _BOOLS, "true, false or empty")]),
-    Fraction: _Codec({str: "a p/q string"}, str, _fraction, parse=_fraction),
+    Fraction: _Codec({str: "a p/q string"}, str, fraction_cell, parse=fraction_cell),
     frozenset[str]: _Codec({list: "a list of strings"}, sorted, _flags, lambda v: ";".join(
                                sorted(v)), lambda s: _flags(s.split(";") if s else [])),
 }
@@ -405,7 +394,7 @@ def _is_economics(rows: list[list[str]]) -> bool:
     try:
         (_, total), (_, addresses), (_, responders), *_ = rows
         return rows == _economics_rows(
-            CampaignEconomics(_fraction(total), int(addresses), int(responders)))
+            CampaignEconomics(fraction_cell(total), int(addresses), int(responders)))
     except ValueError:
         return False
 

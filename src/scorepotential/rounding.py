@@ -1,10 +1,12 @@
-"""Exact rational coercion and the half-up rounding rule used for display and name counts."""
+"""Exact rationals from numbers and p/q cells; half-up rounding for display and name counts."""
 
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
 
 
 def to_fraction(value) -> Fraction:
@@ -27,6 +29,16 @@ def to_fraction(value) -> Fraction:
     if isinstance(value, (str, Decimal)):
         return Fraction(value)
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
+
+
+# Cut-off cells repeat in every chart and document of a bucket count: each is
+# parsed once while it stays among the last few thousand (errors are not kept).
+@lru_cache(maxsize=4096)
+def fraction_cell(text: str) -> Fraction:
+    with suppress(ZeroDivisionError):  # "1/0"
+        if str(value := Fraction(text)) == text:
+            return value
+    raise ValueError(f"expected a p/q string in lowest terms with q > 0, not {text!r}")
 
 
 def round_half_up(value) -> int:

@@ -519,6 +519,14 @@ def test_an_edited_row_cutoff_is_refused_after_a_warm_load(rate4_evaluation):
         evaluation_from_dict(data)
 
 
+def test_a_loaded_chart_holds_the_built_charts_cutoff_objects(rate4_evaluation):
+    built = rate4_evaluation.gains.row_cutoffs
+    for loaded in (evaluation_from_dict(json.loads(render_combined_chart(rate4_evaluation, "json"))),
+                   evaluation_from_csv(render_combined_chart(rate4_evaluation, "csv"))):
+        assert len(loaded.gains.row_cutoffs) == len(built)
+        assert all(a is b for a, b in zip(loaded.gains.row_cutoffs, built))
+
+
 def test_charts_of_one_bucket_count_share_their_row_cutoffs(rate4_evaluation, rate8_evaluation):
     assert rate4_evaluation.gains.bucket_count == rate8_evaluation.gains.bucket_count
     assert rate4_evaluation.gains.row_cutoffs is rate8_evaluation.gains.row_cutoffs
