@@ -84,8 +84,8 @@ class _TakenIds(Sequence):
         """Raise DuplicateId for the first id, in file order, that repeats an earlier one."""
         keys = np.sort(np.concatenate([np.empty(0, np.uint64), *self.keys]))
         self.keys = None  # checked: the count answers len()
-        # Equal keys: a repeat, or distinct ids that share a key by chance.
-        if (keys[1:] == keys[:-1]).any() and len(set(self._list)) < self.count:
+        # Equal keys: a repeat, or distinct ids sharing a key by chance, whose walk raises nothing.
+        if (keys[1:] == keys[:-1]).any():
             seen = set()
             for record_id in self._list:
                 if record_id in seen:
