@@ -57,20 +57,21 @@ def read_sample_columns(path) -> SampleColumns:
 
 
 def _keys(block: bytes, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """A uint64 of each id block[start:end], mixed from its length and every 8 bytes of it."""
-    # words[i] reads block[i - 8:i] as one integer; the shift drops the bytes
-    # before an id shorter than 8.
-    words = np.ndarray(len(block) + 9, "<u8", bytes(8) + block + bytes(8), strides=(1,))
+    """A uint64 of each id block[start:end]: its own bytes if 8 or fewer, else mixed from them."""
     lengths = ends - starts
-    shift = (64 - 8 * np.minimum(lengths, 8)).astype(np.uint64)
-    key = lengths.astype(np.uint64)
-    # Round `at` mixes in bytes at..at+8 of each id longer than at (its last 8
-    # where fewer are left), then one round without bytes ends the id's key.
-    for at in range(0, int(lengths.max()) + 8, 8):
+    longest = int(lengths.max())
+    # words[i] reads block[i - 8:i] as one integer, with zeros past the block.
+    padded = bytes(8) + block + bytes(longest + 8)
+    words = np.ndarray(len(padded) - 7, "<u8", padded, strides=(1,))
+    # Each id's last 1-8 bytes, zero-extended: no taken id holds a zero byte.
+    last = words[ends] >> (8 * (-lengths % 8)).astype(np.uint64)
+    key = np.where(lengths > 8, words[starts + 8], last)
+    # Round `at` mixes in bytes at..at+8 of each id longer than at.
+    for at in range(8, longest, 8):
         mixed = (key ^ (key >> 30)) * 0xBF58476D1CE4E5B9  # the splitmix64 finaliser
         mixed = (mixed ^ (mixed >> 27)) * 0x94D049BB133111EB
-        word = np.where(lengths > at, words[np.minimum(starts + at, ends - 8) + 8] >> shift, 0)
-        key = np.where(lengths + 8 > at, mixed ^ (mixed >> 31) ^ word, key)
+        word = np.where(lengths > at + 8, words[starts + at + 8], last)
+        key = np.where(lengths > at, mixed ^ (mixed >> 31) ^ word, key)
     return key
 
 
@@ -122,41 +123,40 @@ def _read_plain(handle, ids: _TakenIds, scores, responses) -> int:
         handle.seek(0)
         return 0
     limit = csv.field_size_limit()
-    taken = 1
     while block := handle.read(BLOCK_BYTES):
         block += handle.readline(limit)
         if not block.endswith(b"\n") or block.translate(None, _PLAIN):
             break
         codes = np.frombuffer(block, dtype=np.uint8)
-        newlines = np.flatnonzero(codes == ord("\n"))
-        commas = np.flatnonzero(codes == ord(","))
-        # Two commas a line, comma 2k+1 right before line k's one response
-        # byte, and that byte 0 or 1 (so not comma 2k+2): then line k holds
-        # commas 2k and 2k+1 and no other.
+        # Every line's separators are comma, comma, newline, and comma 3k+1 is
+        # right before line k's one response byte, 0 or 1.
+        separators = np.flatnonzero((codes == ord(",")) | (codes == ord("\n")))
+        count, rest = divmod(len(separators), 3)
+        newlines, ends = separators[2::3], separators[0::3]
         flags = codes[newlines - 1] - ord("0")
         starts = np.append(0, newlines[:-1] + 1)
-        if (len(commas) != 2 * len(newlines) or (newlines - commas[1::2] != 2).any()
-                or (flags > 1).any() or (newlines - starts).max() > limit
-                or (commas[0::2] == starts).any()):  # an empty id
+        if (rest or codes[separators].tobytes() != b",,\n" * count
+                or (newlines - separators[1::3] != 2).any() or (flags > 1).any()
+                or (ends == starts).any()  # an empty id
+                or len(block) > limit and (newlines - starts).max() > limit):
             break
         # Piece 2k+1 is line k's score; the others hold a response and the next id.
-        score_texts = block.decode("ascii").split(",")[1::2]
-        if "_" in "".join(score_texts):
+        score_texts = block.split(b",")[1::2]
+        if b"_" in block and b"_" in b"".join(score_texts):
             break
         try:
-            block_scores = array("d", map(float, score_texts))
+            block_scores = np.fromiter(map(float, score_texts), np.float64, count)
+            if not np.isfinite(block_scores).all():
+                break
         except ValueError:
             break
-        if not np.isfinite(np.frombuffer(block_scores)).all():
-            break
         ids.blocks.append(block)
-        ids.keys.append(_keys(block, starts, commas[0::2]))
-        ids.count += len(newlines)
-        scores += block_scores
+        ids.keys.append(_keys(block, starts, ends))
+        ids.count += count
+        scores.frombytes(block_scores.view(np.uint8))
         responses += flags.tobytes()
-        taken += len(newlines)
     handle.seek(-len(block), io.SEEK_CUR)  # block is b"" at the end of the file
-    return taken
+    return 1 + ids.count
 
 
 def _read_strict(handle, ids, seen, scores, responses, taken: int) -> None:

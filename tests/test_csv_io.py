@@ -306,6 +306,16 @@ def test_ids_that_share_a_key_load_and_a_repeat_is_named_in_file_order(tmp_path,
     assert excinfo.value.record_id == "b"
 
 
+def test_ids_that_hold_an_underscore_are_taken_but_a_score_with_one_is_refused(tmp_path):
+    lines = ["id,score,response\n"] + [f"cust_{i:03d},0.{i},{i % 2}\n" for i in range(1, 7)]
+    with mock.patch.object(sample_csv, "_read_strict", _strict_reader_never_runs):
+        columns = read_sample_columns(_write(tmp_path, "".join(lines)))
+    assert columns.ids == [f"cust_{i:03d}" for i in range(1, 7)]
+    lines[4] = "cust_004,1_0,0\n"
+    with pytest.raises(MalformedRow, match=r"^line 5: score '1_0' is not a decimal literal$"):
+        read_sample_columns(_write(tmp_path, "".join(lines)))
+
+
 def test_ids_that_differ_only_in_the_middle_get_distinct_keys():
     # Long ids that share their length and their first and last 8 bytes: the
     # key reads every 8 bytes of an id, so none of them shares a key.

@@ -656,3 +656,29 @@ def test_block_reader_finds_repeated_ids_as_the_strict_reader_does(ids, repeat, 
         assert_block_then_strict_is_strict(data.encode(), must_take=True)
         with mock.patch.object(sample_csv, "_keys", _length_key):
             assert_block_then_strict_is_strict(data.encode(), must_take=True)
+
+
+# Id bytes the block reader takes.
+ID_BYTES = sample_csv._PLAIN.translate(None, b",\n").decode("ascii")
+
+
+def _block_keys(ids: list[str]) -> list[int]:
+    """The key of each id, read from one block that holds the ids in order."""
+    block = "".join(f"{i},0.5,1\n" for i in ids).encode()
+    codes = np.frombuffer(block, dtype=np.uint8)
+    starts = np.append(0, np.flatnonzero(codes == ord("\n"))[:-1] + 1)
+    ends = np.flatnonzero(codes == ord(","))[0::2]
+    return sample_csv._keys(block, starts, ends).tolist()
+
+
+@given(ids=st.lists(st.text(ID_BYTES, min_size=1, max_size=8), min_size=1, max_size=40,
+                    unique=True),
+       other=st.text(ID_BYTES, min_size=1, max_size=40))
+def test_block_reader_keys_tell_short_ids_apart_wherever_an_id_sits(ids, other):
+    # An id of up to 8 bytes is its own key, so distinct ones never share it.
+    assert len(set(_block_keys(ids))) == len(ids)
+    # A key reads its id's bytes alone: first in a block, after a 26-byte id
+    # or after a 1-byte id, an id gets the same key.
+    key = _block_keys([other])[0]
+    for before in ["2024-01-15_000123_campaign", "x"]:
+        assert _block_keys([before, other])[1] == key
