@@ -146,9 +146,9 @@ def _read_plain(handle, ids: _TakenIds, scores, responses) -> int:
             break
         try:
             block_scores = np.fromiter(map(float, score_texts), np.float64, count)
-            if not np.isfinite(block_scores).all():
-                break
         except ValueError:
+            break
+        if not np.isfinite(block_scores).all():
             break
         ids.blocks.append(block)
         ids.keys.append(_keys(block, starts, ends))
