@@ -4,8 +4,8 @@ Round-trip tests cannot see a change of bytes that parses back to an equal
 value (say, degeneracy flags written unsorted); these tests can.  The files
 under tests/golden/ are the documents the CLI writes for the worked samples,
 for a tied sample of 200 names charted in 50 buckets, for the committed
-1 000-name generated sample, and the figure that ``compare --figure`` draws
-for two generated samples.
+1 000-name generated sample (charted in 10 and in 100 buckets), and the
+figure that ``compare --figure`` draws for two generated samples.
 Regenerate them with ``python -m tests.test_golden`` from the repository
 root, and only for an intended change of output.
 """
@@ -68,6 +68,11 @@ CASES = {
     "evaluate_rate8_no_responder_economics.txt":
         ["evaluate", "rate8", *NO_RESPONDER_ECONOMICS],
     "evaluate_gen_1000_rate4.json": ["evaluate", "gen_1000_rate4", "--format", "json"],
+    # 100 buckets of 10 generated names: many table rows of generated values.
+    **{f"evaluate_gen_1000_rate4_b100.{ext}":
+       ["evaluate", "gen_1000_rate4", "--buckets", "100", *fmt]
+       for ext, fmt in (("json", ["--format", "json"]), ("csv", ["--format", "csv"]),
+                        ("txt", []))},
     "compare_target80.json":
         ["compare", "rate4", "rate8", "all_responders", "--target", "80", "--format", "json"],
     "compare_target80.csv":
