@@ -16,11 +16,13 @@ from dataclasses import fields, is_dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 from functools import cache, partial
-from itertools import groupby
+from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii as json_string
 from math import isfinite
 from operator import attrgetter, itemgetter
 from typing import Callable, get_args, get_origin, get_type_hints
+
+import numpy as np
 
 from .economics import CampaignEconomics
 from .engine import BeniPoint, ComparisonReport, ModelEvaluation
@@ -42,23 +44,6 @@ BUCKET_CSV_HEADER = [
 PROFILE_CSV_HEADER = ["cutoff", "beni", "beni_max", "attainment_ratio"]
 
 
-def percent_cell(value: float) -> str:
-    return f"{round_half_up(value)}%"
-
-
-def index_cell(value: float) -> str:
-    return str(round_half_up(value))
-
-
-def unit_cell(value: float) -> str:
-    """Bucket-unit rank sums print as short decimals (23.7, 6.55, 0)."""
-    return f"{value:g}"
-
-
-def rate_percent(value: Fraction) -> str:
-    return f"{float(value * 100):g}%"
-
-
 def money_str(value: Fraction) -> str:
     """Decimal rendering of an exact money amount, half-up at two places."""
     dec = Decimal(value.numerator) / Decimal(value.denominator)
@@ -69,52 +54,56 @@ def money_str(value: Fraction) -> str:
     return text
 
 
-def _table(headers: list[str], rows: list[list[str]]) -> list[str]:
-    widths = [max(map(len, column)) for column in zip(headers, *rows)]
-    template = "  ".join(f"%{width}s" for width in widths)  # each cell right-aligned
-    return [template % tuple(row) for row in (headers, *rows)]
+def _cells(template: str, column) -> list[str]:
+    """Each value of the column in template, all by one %."""
+    return ("\n".join([template] * len(column)) % tuple(column)).split("\n")
 
 
-def _chart_rows(chart: GainsChart) -> list[list[str]]:
-    return [
-        [str(b.bucket_no), str(b.responders), unit_cell(b.p_up_max), unit_cell(b.p_up_min),
-         unit_cell(b.p_up_avg), percent_cell(b.pop_marginal), percent_cell(pop),
-         index_cell(b.beni_marginal), index_cell(beni), index_cell(ceiling), percent_cell(share)]
-        for b, pop, beni, ceiling, share in zip(
-            chart.buckets, chart.pop_cumulative, chart.beni_cumulative,
-            chart.beni_max_cumulative, chart.attainment_ratio)
-    ]
+def _rounded(columns: list) -> list[list[int]]:
+    """Each column rounded half up, as ints (no chart figure passes 100 times its sample
+    size, so none comes near 2**63)."""
+    return round_half_up(np.array(columns, dtype=np.float64)).astype(np.int64).tolist()
+
+
+def _table(headers: list[str], columns: list[list[str]]) -> str:
+    """The columns under their headers, each cell right-aligned to its column's
+    width: one % of a row template, repeated per row, takes the cells row by row."""
+    columns = [[header, *column] for header, column in zip(headers, columns)]
+    template = "  ".join(f"%{max(map(len, column))}s" for column in columns)
+    return "\n".join([template] * len(columns[0])) % tuple(chain.from_iterable(zip(*columns)))
 
 
 def render_evaluation_text(evaluation: ModelEvaluation) -> str:
     chart = evaluation.gains
+    number, _, responders, *units, beni, pop = zip(*chart.buckets)
+    pop, pops, beni, benis, ceilings, shares = _rounded([
+        pop, chart.pop_cumulative, beni, chart.beni_cumulative, chart.beni_max_cumulative,
+        chart.attainment_ratio])
+    # Bucket-unit rank sums print as short decimals (23.7, 6.55, 0).
+    p_up, p_down = _cells("%g", [sum(units[2]), chart.p_down_chart])
+    approx, exact, low, high = _cells("%d%%", _rounded([
+        chart.pop_approx, evaluation.pop_exact, chart.pop_min_variant, chart.pop_max_variant]))
     lines = [
         f"Model: {evaluation.model_id}",
         f"Buckets #B: {chart.bucket_count}   Sample #X: {chart.sample_size}   "
-        f"Response rate R(X): {rate_percent(chart.base_rate)}",
-        "",
+        f"Response rate R(X): {float(chart.base_rate * 100):g}%", "",
+        _table(CHART_HEADERS, [
+            _cells("%d", number), _cells("%d", responders), *(_cells("%g", u) for u in units),
+            _cells("%d%%", pop), _cells("%d%%", pops), _cells("%d", beni), _cells("%d", benis),
+            _cells("%d", ceilings), _cells("%d%%", shares)]), "",
+        f"P↑ = {p_up}", f"P↓ = {p_down}", f"PoP = P↑/P↓ = {approx}", "",
+        f"Score potential, exact ranking: {exact}",
+        f"Score potential, chart approx:  {approx}  [min {low}, max {high}]",
     ]
-    lines.extend(_table(CHART_HEADERS, _chart_rows(chart)))
-    p_up_approx = sum(b.p_up_avg for b in chart.buckets)
-    lines.extend([
-        "",
-        f"P↑ = {unit_cell(p_up_approx)}",
-        f"P↓ = {unit_cell(chart.p_down_chart)}",
-        f"PoP = P↑/P↓ = {percent_cell(chart.pop_approx)}",
-        "",
-        f"Score potential, exact ranking: {percent_cell(evaluation.pop_exact)}",
-        f"Score potential, chart approx:  {percent_cell(chart.pop_approx)}  [min "
-        f"{percent_cell(chart.pop_min_variant)}, max {percent_cell(chart.pop_max_variant)}]",
-    ])
     if evaluation.stretch_target is not None:
         verdict = "met" if evaluation.meets_stretch_target else "below target"
         lines.append(f"Stretch target {evaluation.stretch_target:g}%: {verdict}")
     if evaluation.degeneracy_flags:
         lines.append("Degeneracy: " + ", ".join(sorted(evaluation.degeneracy_flags)))
-    profile_rows = [[str(cut), index_cell(point.beni), index_cell(point.beni_max),
-                     percent_cell(point.attainment_ratio)]
-                    for cut, point in evaluation.beni_profile.items()]
-    lines += ["", *_table(["Cut-off", "BenI", "BenI max", "Attainment"], profile_rows)]
+    beni, ceiling, share = _rounded(list(zip(*evaluation.beni_profile.values())))
+    lines += ["", _table(["Cut-off", "BenI", "BenI max", "Attainment"], [
+        list(map(str, evaluation.beni_profile)), _cells("%d", beni), _cells("%d", ceiling),
+        _cells("%d%%", share)])]
     return "\n".join(lines) + "\n"
 
 
@@ -223,9 +212,11 @@ def _codec(hint) -> _Codec:
     taken = [(i, partial(_take, c)) for i, c in enumerate(codecs)]
 
     def dump(o) -> dict:
-        values = list(read(o))
-        for i, convert in dumped:
-            values[i] = convert(values[i])
+        values = read(o)
+        if dumped:  # else (Bucket, BeniPoint) the values are their own JSON: one zip
+            values = list(values)
+            for i, convert in dumped:
+                values[i] = convert(values[i])
         return dict(zip(names, values))
 
     def load(doc: dict):
@@ -361,24 +352,32 @@ def _items(values, indent: str) -> list[str]:
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
-def _rows(section: list[tuple], evaluation: ModelEvaluation):
-    return zip(*(column(evaluation) for _, _, column in section))
+def _csv_table(columns: list) -> str:
+    """The lines csv.writer writes for the rows the columns zip into (None an empty
+    cell), by one % of a row template: str is repr for a float, as in csv.writer.
+    A cell with a character csv.writer quotes makes the commas or newlines miscount,
+    and csv.writer then writes the rows."""
+    rows, width = len(columns[0]), len(columns)
+    template = (",".join(["%s"] * width) + "\n") * rows
+    if "None" in (text := template % (cells := tuple(chain.from_iterable(zip(*columns))))):
+        text = template % tuple("" if cell is None else cell for cell in cells)
+    if width > 1 and text.count(",") == rows * (width - 1) and text.count("\n") == rows and not (
+            '"' in text or "\r" in text):  # a one-column row of an empty cell is quoted
+        return text
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(zip(*columns))
+    return out.getvalue()
 
 
 def evaluation_to_csv(
     evaluation: ModelEvaluation, economics: CampaignEconomics | None = None
 ) -> str:
-    meta, buckets, profile = _sections()
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerows((name, *column(evaluation)) for name, _, column in meta)
-    for header, section in ((BUCKET_CSV_HEADER, buckets), (PROFILE_CSV_HEADER, profile)):
-        writer.writerows(([], header))
-        writer.writerows(_rows(section, evaluation))
+    meta, *tables = ([[name, *column(evaluation)] for name, _, column in section]
+                     for section in _sections())
+    sections = [list(zip(*meta)), *tables]  # each meta column is a row: name,value
     if economics is not None:
-        writer.writerow([])
-        writer.writerows(_economics_rows(economics))
-    return out.getvalue()
+        sections.append(list(zip(*_economics_rows(economics))))
+    return "\n".join(map(_csv_table, sections))  # an empty line between sections
 
 
 def _economics_rows(economics: CampaignEconomics) -> list[list[str]]:
@@ -462,21 +461,22 @@ def render_combined_chart(
 
 
 def comparison_to_csv(report: ComparisonReport) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    section = _sections()[0][:7]  # the meta columns up to the flags
-    writer.writerow(["rank", *(name for name, _, _ in section)])
-    for rank, evaluation in enumerate(report.evaluations, start=1):
-        writer.writerows([rank, *cells] for cells in _rows(section, evaluation))
-    return out.getvalue()
+    evaluations = report.evaluations  # a row each, under the meta columns up to the flags
+    return _csv_table([["rank", *range(1, len(evaluations) + 1)], *(
+        [name, *chain.from_iterable(map(column, evaluations))]
+        for name, _, column in _sections()[0][:7])])
 
 
 def render_comparison_text(report: ComparisonReport) -> str:
     gates = {None: "", True: "met", False: "below"}
-    rows = [[str(rank), e.model_id, percent_cell(e.pop_exact), percent_cell(e.gains.pop_approx),
-             gates[e.meets_stretch_target]] for rank, e in enumerate(report.evaluations, start=1)]
-    lines = ["Ranking by exact score potential", ""]
-    lines.extend(_table(["#", "Model", "PoP", "PoP'", "Target"], rows))
+    evaluations = report.evaluations
+    pops, approxes = _rounded([[e.pop_exact for e in evaluations],
+                               [e.gains.pop_approx for e in evaluations]])
+    lines = ["Ranking by exact score potential", "", _table(
+        ["#", "Model", "PoP", "PoP'", "Target"],
+        [_cells("%d", range(1, len(evaluations) + 1)), [e.model_id for e in evaluations],
+         _cells("%d%%", pops), _cells("%d%%", approxes),
+         [gates[e.meets_stretch_target] for e in evaluations]])]
     if report.below_target:
         lines += ["", "Below stretch target: " + ", ".join(report.below_target)]
     return "\n".join(lines) + "\n"

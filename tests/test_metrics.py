@@ -5,7 +5,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from scorepotential import (
     CutOff,
@@ -108,6 +110,22 @@ def test_round_half_up_on_floats_matches_the_exact_rule():
     for value in (0.5, 1.5, 2.5, -0.5, -1.5, -2.5, 2.4999999999999996, -0.49999999999999994,
                   4503599627370495.5, 1e300, -7.25, 0, -7, 2**53 + 1):
         assert round_half_up(value) == round_half_up(Fraction(value)), value
+
+
+# The largest float below 0.5, halves of both signs, the halves around 2**52
+# (2**52 + 0.5 is no float: it is 2**52), floats past 2**53, and -0.0.
+HALF_UP_EDGES = [0.49999999999999994, -0.49999999999999994,
+                 *(sign * (k + 0.5) for k in range(8) for sign in (1, -1)),
+                 2.0**52 - 0.5, 2.0**52 + 0.5, -(2.0**52 - 0.5), 2.0**53, 2.0**53 + 2,
+                 -(2.0**53 + 2), 2.0**70, 1e300, -1e300, -0.0, 0.0, 5e-324, -5e-324]
+
+
+@given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=20))
+@example(values=HALF_UP_EDGES)
+def test_round_half_up_on_a_float64_column_matches_the_scalar_rule(values):
+    column = round_half_up(np.array(values, dtype=np.float64))
+    assert column.dtype == np.float64
+    assert column.tolist() == [round_half_up(v) for v in values]
 
 
 @pytest.mark.parametrize("value, error", [

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import os
@@ -12,6 +14,7 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -777,6 +780,47 @@ def test_json_writes_a_list_of_objects_with_one_key_set_a_column_at_a_time():
 def test_table_pads_each_cell_as_rjust_does(rows):
     headers = ["P'↑max", "%", "BenI'cum"]
     widths = [max(map(len, column)) for column in zip(headers, *rows)]
-    assert report._table(headers, rows) == [
+    columns = [[row[i] for row in rows] for i in range(len(headers))]
+    assert report._table(headers, columns) == "\n".join(
         "  ".join(cell.rjust(width) for cell, width in zip(row, widths))
-        for row in (headers, *rows)]
+        for row in (headers, *rows))
+
+
+# CSV table cells: ints, floats of every kind, p/q strings, None, and strings
+# that csv.writer quotes or that read like a % directive or a None cell.
+CSV_CELLS = [st.integers(), st.floats() | st.sampled_from(
+    [-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e16, 0.49999999999999994]),
+             st.fractions().map(str), st.none(), st.text(st.sampled_from(',"\r\n%sNone1 é'))]
+
+
+@st.composite
+def csv_columns(draw):
+    """1-5 columns of 0-5 rows, each column of one kind of cell or of all kinds."""
+    rows = draw(st.integers(0, 5))
+    kinds = st.sampled_from([*CSV_CELLS, st.one_of(CSV_CELLS)])
+    return [draw(st.lists(draw(kinds), min_size=rows, max_size=rows))
+            for _ in range(draw(st.integers(1, 5)))]
+
+
+def csv_writer_text(rows) -> str:
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
+@given(columns=csv_columns())
+def test_csv_table_writes_the_bytes_of_csv_writer(columns):
+    assert report._csv_table(columns) == csv_writer_text(zip(*columns))
+
+
+@pytest.mark.parametrize("columns, quoted", [
+    *(([["id", f"a{char}b"], ["score", 0.5]], True) for char in ',"\r\n'),
+    ([["id", ""], ["score", None]], False),  # an empty cell beside others is left bare
+    ([["id", "", "x"]], True),  # a row of one empty cell is written as ""
+    ([["id", "None"], ["score", None]], False),
+])
+def test_only_a_table_csv_writer_would_quote_takes_the_csv_writer_fallback(columns, quoted):
+    expected = csv_writer_text(zip(*columns))
+    with mock.patch.object(csv, "writer", wraps=csv.writer) as writer:
+        assert report._csv_table(columns) == expected
+    assert writer.called == quoted
