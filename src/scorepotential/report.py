@@ -75,11 +75,11 @@ def _table(headers: list[str], columns: list[list[str]]) -> str:
 
 def render_evaluation_text(evaluation: ModelEvaluation) -> str:
     chart = evaluation.gains
-    number, _, responders, *units, beni, pop = zip(*chart.buckets)
+    number, _, responders, *units, beni_marginal, pop_marginal = zip(*chart.buckets)
     pop, pops, beni, benis, ceilings, shares = _rounded([
-        pop, chart.pop_cumulative, beni, chart.beni_cumulative, chart.beni_max_cumulative,
-        chart.attainment_ratio])
-    # Bucket-unit rank sums print as short decimals (23.7, 6.55, 0).
+        pop_marginal, chart.pop_cumulative, beni_marginal, chart.beni_cumulative,
+        chart.beni_max_cumulative, chart.attainment_ratio])
+    # Bucket-unit rank sums (P'↑max, P'↑min, P'↑avg; P↑ sums P'↑avg) print as short decimals.
     p_up, p_down = _cells("%g", [sum(units[2]), chart.p_down_chart])
     approx, exact, low, high = _cells("%d%%", _rounded([
         chart.pop_approx, evaluation.pop_exact, chart.pop_min_variant, chart.pop_max_variant]))

@@ -45,13 +45,11 @@ def round_half_up(value):
     """Round to the nearest integer, halves toward +infinity (1.5 -> 2, -1.5 -> -1).
 
     Floats round like the exact Fraction branch: x - floor(x) is exact, where
-    x + 0.5 would round 0.49999999999999994 up to 1.0.  An int takes the
-    float path and comes back unchanged.  A float64 array takes it too, element
-    by element, and comes back as a float64 array of the rounded integers.
+    x + 0.5 would round 0.49999999999999994 up to 1.0.  An int comes back
+    unchanged, and a float64 array as the float64 array of its rounded values.
     """
     if not isinstance(value, float):  # floats first: Fraction is an ABC, slow to test
         if isinstance(value, Fraction):  # floor(p/q + 1/2) in ints
             return (2 * value.numerator + value.denominator) // (2 * value.denominator)
-    floor = value // 1  # exact, also on arrays; a float's floor is a float
-    rounded = floor + (value - floor >= 0.5)
+    rounded = (floor := value // 1) + (value - floor >= 0.5)  # x // 1: exact, on arrays too
     return int(rounded) if isinstance(value, float) else rounded
