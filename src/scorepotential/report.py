@@ -29,6 +29,7 @@ from .engine import BeniPoint, ComparisonReport, ModelEvaluation
 from .gains import Bucket, GainsChart
 from .rounding import fraction_cell, round_half_up
 from .sample import CutOff
+from .sample_csv import csv_table
 
 CHART_HEADERS = [
     "Bucket", "#Resp", "P'↑max", "P'↑min", "P'↑avg", "PoP'marg", "PoP'cum",
@@ -352,23 +353,6 @@ def _items(values, indent: str) -> list[str]:
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
-def _csv_table(columns: list) -> str:
-    """The lines csv.writer writes for the rows the columns zip into (None an empty
-    cell), by one % of a row template: str is repr for a float, as in csv.writer.
-    A cell with a character csv.writer quotes makes the commas or newlines miscount,
-    and csv.writer then writes the rows."""
-    rows, width = len(columns[0]), len(columns)
-    template = (",".join(["%s"] * width) + "\n") * rows
-    if "None" in (text := template % (cells := tuple(chain.from_iterable(zip(*columns))))):
-        text = template % tuple("" if cell is None else cell for cell in cells)
-    if width > 1 and text.count(",") == rows * (width - 1) and text.count("\n") == rows and not (
-            '"' in text or "\r" in text):  # a one-column row of an empty cell is quoted
-        return text
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows(zip(*columns))
-    return out.getvalue()
-
-
 def evaluation_to_csv(
     evaluation: ModelEvaluation, economics: CampaignEconomics | None = None
 ) -> str:
@@ -377,7 +361,7 @@ def evaluation_to_csv(
     sections = [list(zip(*meta)), *tables]  # each meta column is a row: name,value
     if economics is not None:
         sections.append(list(zip(*_economics_rows(economics))))
-    return "\n".join(map(_csv_table, sections))  # an empty line between sections
+    return "\n".join(map(csv_table, sections))  # an empty line between sections
 
 
 def _economics_rows(economics: CampaignEconomics) -> list[list[str]]:
@@ -462,7 +446,7 @@ def render_combined_chart(
 
 def comparison_to_csv(report: ComparisonReport) -> str:
     evaluations = report.evaluations  # a row each, under the meta columns up to the flags
-    return _csv_table([["rank", *range(1, len(evaluations) + 1)], *(
+    return csv_table([["rank", *range(1, len(evaluations) + 1)], *(
         [name, *chain.from_iterable(map(column, evaluations))]
         for name, _, column in _sections()[0][:7])])
 

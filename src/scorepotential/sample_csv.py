@@ -13,6 +13,7 @@ import io
 import math
 from array import array
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -37,20 +38,20 @@ SLICE_ROWS = 1 << 16
 def read_sample_columns(path) -> SampleColumns:
     """Read a sample CSV straight into columns, validating the full contract.
 
-    The file is read once: the block reader takes the plain lines at the head
-    of a seekable file and refuses a repeated id among them; the strict
-    reader, which alone judges other bad input, reads on from the first
-    block not taken (a pipe, from the start).
+    The stream is read once and never sought, so a pipe reads as a file does:
+    the block reader takes the plain lines at its head and refuses a repeated
+    id among them; the strict reader, which alone judges other bad input,
+    reads the lines the block reader read but did not take, then the rest.
     """
     ids = _TakenIds()
     scores = array("d")  # raw doubles and bytes: no Python object per value
     responses = bytearray()
     with open(path, "rb") as handle:
-        taken = _read_plain(handle, ids, scores, responses) if handle.seekable() else 0
+        taken, head = _read_plain(handle, ids, scores, responses)
         ids.check_unique()
-        if handle.peek(1):  # lines left for the strict reader
+        if head:  # lines left for the strict reader
             ids = list(ids)
-            _read_strict(handle, ids, set(ids), scores, responses, taken)
+            _read_strict(head, handle, ids, set(ids), scores, responses, taken)
     if not ids:
         raise EmptySample()
     return SampleColumns(ids, np.frombuffer(scores), np.frombuffer(responses, dtype=np.bool_))
@@ -110,20 +111,22 @@ class _TakenIds(Sequence):
         return self._list == other
 
 
-def _read_plain(handle, ids: _TakenIds, scores, responses) -> int:
-    """Append the plain lines at the file's head, block by block; return how many.
+def _read_plain(handle, ids: _TakenIds, scores, responses) -> tuple[int, bytes]:
+    """Append the plain lines at the stream's head, block by block; return how
+    many, and the bytes read but not taken.
 
-    The count includes the header.  The reader stops at the first block that
-    holds something for the strict reader to judge: a byte outside _PLAIN, a
-    line without exactly two commas, a score that is not a finite '_'-free
-    float, a response other than 0 or 1, an empty id, a line over the csv
-    field limit, or no final newline; it leaves the handle at its start.
+    The count includes the header.  The reader stops at the header line if it
+    is not exactly HEADER, or at the first block that holds something for the
+    strict reader to judge: a byte outside _PLAIN, a line without exactly two
+    commas, a score that is not a finite '_'-free float, a response other than
+    0 or 1, an empty id, a line over the csv field limit, or no final newline.
+    The bytes not taken are that line or block, read on to the end of its last
+    line, so they never end inside a line, a CRLF pair or a UTF-8 character.
     """
-    if handle.readline(len(_HEADER_LINE)) != _HEADER_LINE.encode():
-        handle.seek(0)
-        return 0
+    block = handle.readline(len(_HEADER_LINE))
+    header = block == _HEADER_LINE.encode()
     limit = csv.field_size_limit()
-    while block := handle.read(BLOCK_BYTES):
+    while header and (block := handle.read(BLOCK_BYTES)):
         block += handle.readline(limit)
         if not block.endswith(b"\n") or block.translate(None, _PLAIN):
             break
@@ -155,20 +158,23 @@ def _read_plain(handle, ids: _TakenIds, scores, responses) -> int:
         ids.count += count
         scores.frombytes(block_scores.view(np.uint8))
         responses += flags.tobytes()
-    handle.seek(-len(block), io.SEEK_CUR)  # block is b"" at the end of the file
-    return 1 + ids.count
+    # block is b"" at the end of the stream, where readline reads b"" too.
+    return header + ids.count, block if block.endswith(b"\n") else block + handle.readline()
 
 
-def _read_strict(handle, ids, seen, scores, responses, taken: int) -> None:
-    """Append the rows after the first `taken` lines (the header among them if any).
+def _read_strict(head: bytes, handle, ids, seen, scores, responses, taken: int) -> None:
+    """Append the rows of head, then of the rest of the handle, which follow the
+    first `taken` lines (the header among them if any).  head ends where a line
+    does, so the two read as one stream of lines.
 
     Raises on the first error in file order, at the file line its row ends on.
     """
     header_read = taken > 0
     # Undecodable bytes are kept as lone surrogates, so that they are reported
     # at their own row, not where the decoder's chunk happens to start.
-    text = io.TextIOWrapper(handle, encoding="utf-8", errors="surrogateescape", newline="")
-    reader = csv.reader(text)
+    head_text, text = (io.TextIOWrapper(stream, encoding="utf-8", errors="surrogateescape",
+                                        newline="") for stream in (io.BytesIO(head), handle))
+    reader = csv.reader(chain(head_text, text))
     try:
         for row in reader:
             if not row:
@@ -220,33 +226,38 @@ def _read_strict(handle, ids, seen, scores, responses, taken: int) -> None:
         text.detach()  # the handle stays open, for its owner to close
 
 
+def csv_table(columns: list) -> str:
+    """The lines csv.writer writes for the rows the columns zip into (None an empty
+    cell), by one % of a row template: str is repr for a float, as in csv.writer.
+    A cell with a character csv.writer quotes makes the commas or newlines miscount,
+    and csv.writer then writes the rows."""
+    rows, width = len(columns[0]), len(columns)
+    cells = [None] * (rows * width)
+    for at, column in enumerate(columns):
+        cells[at::width] = column  # a cell is an argument of the format, never part of it
+    template = (",".join(["%s"] * width) + "\n") * rows
+    if "None" in (text := template % tuple(cells)):
+        text = template % tuple("" if cell is None else cell for cell in cells)
+    if width > 1 and text.count(",") == rows * (width - 1) and text.count("\n") == rows and not (
+            '"' in text or "\r" in text):  # a one-column row of an empty cell is quoted
+        return text
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(zip(*columns))
+    return out.getvalue()
+
+
 def _csv_slices(sample: SampleColumns | Iterable[ScoredRecord]) -> Iterator[str]:
-    """The header line, then the CSV text of SLICE_ROWS rows at a time.
+    """The header line, then the CSV text of SLICE_ROWS rows at a time, by csv_table.
 
     Takes columns, or records whose columns are extracted first.  Scores are
-    written as repr, responses as 0/1.  A slice is formatted by one % of its
-    cells unless one of its ids holds a character csv.writer may quote; then
-    csv.writer writes its rows, so the bytes are csv.writer's either way.
+    written as repr, responses as 0/1.
     """
     columns = sample if isinstance(sample, SampleColumns) else SampleColumns.from_records(sample)
     yield _HEADER_LINE
     for start in range(0, len(columns), SLICE_ROWS):
         rows = slice(start, start + SLICE_ROWS)
-        ids = columns.ids[rows]
-        scores = columns.scores[rows].tolist()
-        responses = columns.responses[rows].view(np.uint8).tolist()
-        try:
-            quoted = any(char in "".join(ids) for char in ',"\r\n')
-        except TypeError:  # an id that is not a str, formatted the way csv.writer does
-            quoted = True
-        if not quoted:  # an id is an argument of the format, never part of it
-            cells = [None] * (3 * len(ids))
-            cells[0::3], cells[1::3], cells[2::3] = ids, scores, responses
-            yield ("%s,%r,%d\n" * len(ids)) % tuple(cells)
-            continue
-        out = io.StringIO()
-        csv.writer(out, lineterminator="\n").writerows(zip(ids, map(repr, scores), responses))
-        yield out.getvalue()
+        yield csv_table([columns.ids[rows], columns.scores[rows].tolist(),
+                         columns.responses[rows].view(np.uint8).tolist()])
 
 
 def records_to_csv_text(sample: SampleColumns | Iterable[ScoredRecord]) -> str:
@@ -259,7 +270,7 @@ def _write_csv(sample: SampleColumns | Iterable[ScoredRecord], handle) -> None:
     handle.writelines(_csv_slices(sample))
 
 
-def write_sample_csv(records: Iterable[ScoredRecord], path) -> None:
-    """Write records in the same format read_sample_columns reads."""
+def write_sample_csv(sample: SampleColumns | Iterable[ScoredRecord], path) -> None:
+    """Write a sample, as columns or records, in the format read_sample_columns reads."""
     with open(path, "w", encoding="utf-8") as handle:
-        _write_csv(records, handle)
+        _write_csv(sample, handle)

@@ -6,6 +6,8 @@ import csv
 import dataclasses
 import io
 import math
+import os
+import threading
 from array import array
 from fractions import Fraction
 
@@ -237,23 +239,65 @@ def reference_csv_text(records) -> str:
     return out.getvalue()
 
 
-def read_csv_bytes(data: bytes, block_reader: bool = True):
+class _Pipe(io.RawIOBase):
+    """A raw byte stream that cannot seek and, as a pipe may, returns fewer bytes
+    than asked for: at most 5 a read."""
+
+    def __init__(self, data: bytes):
+        self._data = io.BytesIO(data)
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        return self._data.readinto(memoryview(buffer)[:5])
+
+
+def byte_stream(data: bytes, pipe: bool = False):
+    """data as a binary handle: an in-memory file, or a buffered pipe if pipe."""
+    return io.BufferedReader(_Pipe(data)) if pipe else io.BytesIO(data)
+
+
+def read_csv_bytes(data: bytes, block_reader: bool = True, pipe: bool = False):
     """(lines the block reader took, outcome) of the sample CSV readers on data.
 
     The block reader takes what it can, unless block_reader is False, and the
-    strict reader reads on from there, as in read_sample_columns.  The outcome
-    is the ids, score bytes and response bytes, or the error's class and text.
+    strict reader reads the bytes it left and then the rest of the stream, as
+    in read_sample_columns.  The stream is a pipe, which cannot seek, if pipe.
+    The outcome is the ids, score bytes and response bytes, or the error's
+    class and text.
     """
     ids, scores, responses = sample_csv._TakenIds(), array("d"), bytearray()
-    handle = io.BytesIO(data)
-    taken = sample_csv._read_plain(handle, ids, scores, responses) if block_reader else 0
+    handle = byte_stream(data, pipe)
+    taken, head = (sample_csv._read_plain(handle, ids, scores, responses) if block_reader
+                   else (0, b""))
     try:
         ids.check_unique()
         ids = list(ids)
-        sample_csv._read_strict(handle, ids, set(ids), scores, responses, taken)
+        sample_csv._read_strict(head, handle, ids, set(ids), scores, responses, taken)
     except ToolkitError as err:
         return taken, (type(err), str(err))
     return taken, (ids, scores.tobytes(), bytes(responses))
+
+
+def read_through_fifo(fifo, data: bytes, read):
+    """read(fifo) while a thread writes data into fifo, a named pipe made here."""
+    os.mkfifo(fifo)
+
+    def feed():
+        try:
+            with open(fifo, "wb") as handle:
+                handle.write(data)
+        except BrokenPipeError:  # the reader stopped early, on an error
+            pass
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        return read(fifo)
+    finally:
+        writer.join(timeout=10)
+        assert not writer.is_alive()
 
 
 def reference_generate_sample(size, base_rate, quality, seed) -> list[ScoredRecord]:

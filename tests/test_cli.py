@@ -5,15 +5,15 @@ from __future__ import annotations
 import io
 import json
 import os
-import threading
 
 import pytest
 
-from scorepotential import EvaluationContext, evaluation_from_csv, write_sample_csv
+from scorepotential import EvaluationContext, evaluation_from_csv, sample_csv, write_sample_csv
 from scorepotential.cli import main
 from tests.conftest import (
     RATE4_DECILE_RESPONDERS,
     bucketed_records,
+    read_through_fifo,
     ten_name_records,
 )
 
@@ -394,19 +394,27 @@ def test_a_named_pipe_is_read_once_and_evaluated_as_a_file(tmp_path):
     (tmp_path / "pipe").mkdir()
     regular = tmp_path / "file" / "m.csv"
     regular.write_text(text, encoding="utf-8")
-    fifo = tmp_path / "pipe" / "m.csv"
-    os.mkfifo(fifo)
+    piped = read_through_fifo(tmp_path / "pipe" / "m.csv", text.encode(),
+                              lambda fifo: run_cli(*argv, str(fifo)))
+    assert piped == run_cli(*argv, str(regular))
+    assert piped[0] == 0
 
-    def feed():
-        with open(fifo, "w", encoding="utf-8") as handle:
-            handle.write(text)
 
-    writer = threading.Thread(target=feed, daemon=True)
-    writer.start()
-    try:
-        piped = run_cli(*argv, str(fifo))
-    finally:
-        writer.join(timeout=10)
-    assert not writer.is_alive()
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_a_plain_gen_sample_in_a_named_pipe_is_taken_whole_by_the_block_reader(tmp_path,
+                                                                               monkeypatch):
+    def strict_reader_never_runs(*_):
+        raise AssertionError("the block reader was to take the whole sample")
+
+    monkeypatch.setattr(sample_csv, "_read_strict", strict_reader_never_runs)
+    (tmp_path / "file").mkdir()
+    (tmp_path / "pipe").mkdir()
+    regular = tmp_path / "file" / "gen.csv"
+    # More than a pipe's buffer and a block hold, so the read waits on the writer.
+    assert run_cli("gen", "--size", "5000", "--rate", "0.04", "--quality", "0.6", "--seed", "7",
+                   "--output", str(regular))[0] == 0
+    argv = ["evaluate", "--format", "json"]
+    piped = read_through_fifo(tmp_path / "pipe" / "gen.csv", regular.read_bytes(),
+                              lambda fifo: run_cli(*argv, str(fifo)))
     assert piped == run_cli(*argv, str(regular))
     assert piped[0] == 0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import os
 from array import array
 from unittest import mock
 
@@ -16,6 +17,7 @@ from scorepotential import (
     MalformedRow,
     ScoredRecord,
     TiePolicy,
+    ToolkitError,
     generate_sample,
     rank_sample,
     read_sample_columns,
@@ -23,8 +25,8 @@ from scorepotential import (
     write_sample_csv,
 )
 from scorepotential import sample_csv
-from tests.conftest import (read_csv_bytes, reference_csv_text, reference_rank,
-                            ten_name_records)
+from tests.conftest import (byte_stream, read_csv_bytes, read_through_fifo, reference_csv_text,
+                            reference_rank, ten_name_records)
 
 
 def _write(tmp_path, text):
@@ -234,35 +236,42 @@ def test_a_file_that_turns_strict_late_is_read_once(tmp_path, monkeypatch):
     entries = []
     read_strict = sample_csv._read_strict
 
-    def spy(handle, *columns_and_taken):
-        entries.append((columns_and_taken[-1], handle.tell()))
-        read_strict(handle, *columns_and_taken)
+    def spy(*arguments):  # head, the handle, the columns, then taken
+        entries.append((arguments[-1], arguments[0]))
+        read_strict(*arguments)
 
     monkeypatch.setattr(sample_csv, "_read_strict", spy)
     columns = read_sample_columns(path)
-    [(taken, offset)] = entries
-    assert 1 < taken < 45 and offset == len("".join(lines[:taken]))
+    [(taken, head)] = entries
+    data, offset = path.read_bytes(), len("".join(lines[:taken]))
+    # head is the block not taken, from its first line to the end of its last.
+    assert 1 < taken < 45 and head.endswith(b"\n") and head == data[offset:offset + len(head)]
     outcome = (columns.ids, columns.scores.tobytes(), columns.responses.tobytes())
-    assert outcome == read_csv_bytes(path.read_bytes(), block_reader=False)[1]
+    assert outcome == read_csv_bytes(data, block_reader=False)[1]
 
 
+@pytest.mark.parametrize("pipe", [False, True])
 @pytest.mark.parametrize("block_bytes", [1, sample_csv.BLOCK_BYTES])
 def test_block_reader_takes_a_plain_file_as_the_strict_reader_does(tmp_path, monkeypatch,
-                                                                  block_bytes):
+                                                                  block_bytes, pipe):
     monkeypatch.setattr(sample_csv, "BLOCK_BYTES", block_bytes)
     path = tmp_path / "gen.csv"
     write_sample_csv(generate_sample(300, 0.1, 0.5, 11), path)
     data = path.read_bytes()
-    assert read_csv_bytes(data) == (301, read_csv_bytes(data, block_reader=False)[1])
+    assert read_csv_bytes(data, pipe=pipe) == (301, read_csv_bytes(data, block_reader=False)[1])
 
 
-def assert_block_reader_defers(path) -> None:
-    """It takes no line past the header, so the strict reader starts at line 1 or 2."""
-    columns = (sample_csv._TakenIds(), array("d"), bytearray())
-    with open(path, "rb") as handle:
-        taken = sample_csv._read_plain(handle, *columns)
-        assert (taken, handle.tell()) in [(0, 0), (1, len("id,score,response\n"))]
-    assert not any(columns)
+def assert_block_reader_defers(data: bytes) -> None:
+    """It takes no line past the header, from a file or a pipe alike, and hands
+    the strict reader the bytes it read from line 1 or 2 to the end of a line."""
+    for pipe in (False, True):
+        columns = (sample_csv._TakenIds(), array("d"), bytearray())
+        taken, head = sample_csv._read_plain(byte_stream(data, pipe), *columns)
+        start = taken * len("id,score,response\n")
+        assert taken in (0, 1) and not any(columns)
+        assert head == data[start:start + len(head)]
+        assert head.endswith(b"\n") or start + len(head) == len(data)
+        assert read_csv_bytes(data, pipe=pipe) == read_csv_bytes(data)
 
 
 @pytest.mark.parametrize("text", [
@@ -276,16 +285,48 @@ def assert_block_reader_defers(path) -> None:
     "id, score,response\na,1.0,0\n",       # a header the strict reader strips
     "id,score,response\n",                 # no record
 ])
-def test_block_reader_defers_what_it_does_not_take(tmp_path, text):
-    assert_block_reader_defers(_write(tmp_path, text))
+def test_block_reader_defers_what_it_does_not_take(text):
+    assert_block_reader_defers(text.encode())
+
+
+LIMIT = csv.field_size_limit()
 
 
 def test_block_reader_defers_a_line_over_the_csv_limit(tmp_path):
-    limit = csv.field_size_limit()
-    path = _write(tmp_path, f"id,score,response\n{'x' * (limit - 4)},1.0,0\n")
-    assert_block_reader_defers(path)
+    path = _write(tmp_path, f"id,score,response\n{'x' * (LIMIT - 4)},1.0,0\n")
+    assert_block_reader_defers(path.read_bytes())
     # The strict reader takes it: the id itself is inside the limit.
     assert len(read_sample_columns(path)) == 1
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("data", [
+    b"id,score,response\ra,1.0,0\rb,2.0,1\r",            # lone CRs
+    b"id,score,response\ra,1.0,0\rb,2.0,x\rc,3.0,1\r",  # ... with a bad response on line 3
+    b"id,score,response\na,1.0,0\rb,2.0,1\r",            # a header, then lone-CR rows
+    b"id,score,response\na,1.0,0\rb,2.0,1\ra,3.0,0\r",   # ... with a repeat on line 4
+    b"id,score,response\r\na,1.0,0\nb,2.0,1\n",          # a CRLF header
+    "id,score,responseé\na,1.0,0\n".encode(),          # é over bytes 17-18 of the header
+    "id,score,responsé\na,1.0,0\n".encode(),           # é over bytes 16-17
+    f"id,score,response\na,1.0,0\n{'x' * (LIMIT + 10)},1.0,0\nb,2.0,1\n".encode(),
+], ids=["lone-cr", "lone-cr-bad-response", "lf-header-cr-rows", "lf-header-cr-repeat",
+        "crlf-header", "split-character-header", "character-header", "over-limit"])
+def test_a_file_and_a_pipe_read_as_the_strict_reader_alone(tmp_path, monkeypatch, data):
+    # Small blocks, so that the block reader stops inside the line over the limit.
+    monkeypatch.setattr(sample_csv, "BLOCK_BYTES", 16)
+
+    def outcome(path):
+        try:
+            columns = read_sample_columns(path)
+        except ToolkitError as err:
+            return type(err), str(err)
+        return list(columns.ids), columns.scores.tobytes(), columns.responses.tobytes()
+
+    path = tmp_path / "sample.csv"
+    path.write_bytes(data)
+    expected = read_csv_bytes(data, block_reader=False)[1]
+    assert outcome(path) == expected
+    assert read_through_fifo(tmp_path / "pipe.csv", data, outcome) == expected
 
 
 def _strict_reader_never_runs(*_):
@@ -333,9 +374,9 @@ def test_an_id_taken_in_a_block_and_repeated_after_a_quoted_line_is_a_duplicate(
     entries = []
     read_strict = sample_csv._read_strict
 
-    def spy(handle, *columns_and_taken):
-        entries.append(columns_and_taken[-1])
-        read_strict(handle, *columns_and_taken)
+    def spy(*arguments):
+        entries.append(arguments[-1])
+        read_strict(*arguments)
 
     monkeypatch.setattr(sample_csv, "_read_strict", spy)
     path = _write(tmp_path, 'id,score,response\na,0.1,0\nb,0.2,1\n"c",0.3,0\na,0.4,0\n')

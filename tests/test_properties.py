@@ -605,10 +605,12 @@ def mutated(lines: list[bytes], rng: random.Random) -> bytes:
 
 
 def assert_block_then_strict_is_strict(data: bytes, must_take: bool = False) -> None:
-    """The block reader then the strict reader give what the strict reader alone gives."""
+    """The block reader then the strict reader give what the strict reader alone
+    gives, and take the same lines from a pipe as from a file."""
     taken, outcome = read_csv_bytes(data)
     assert outcome == read_csv_bytes(data, block_reader=False)[1], data
     assert taken == data.count(b"\n") or not must_take, data
+    assert read_csv_bytes(data, pipe=True) == (taken, outcome), data
 
 
 @given(rows=st.lists(

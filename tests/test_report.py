@@ -39,6 +39,7 @@ from scorepotential import (
 )
 from scorepotential import report
 from scorepotential.report import money_str, to_json
+from scorepotential.sample_csv import csv_table
 from tests.conftest import bucketed_records
 from scorepotential import rank_sample
 
@@ -810,7 +811,7 @@ def csv_writer_text(rows) -> str:
 
 @given(columns=csv_columns())
 def test_csv_table_writes_the_bytes_of_csv_writer(columns):
-    assert report._csv_table(columns) == csv_writer_text(zip(*columns))
+    assert csv_table(columns) == csv_writer_text(zip(*columns))
 
 
 @pytest.mark.parametrize("columns, quoted", [
@@ -822,5 +823,5 @@ def test_csv_table_writes_the_bytes_of_csv_writer(columns):
 def test_only_a_table_csv_writer_would_quote_takes_the_csv_writer_fallback(columns, quoted):
     expected = csv_writer_text(zip(*columns))
     with mock.patch.object(csv, "writer", wraps=csv.writer) as writer:
-        assert report._csv_table(columns) == expected
+        assert csv_table(columns) == expected
     assert writer.called == quoted
