@@ -72,6 +72,15 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
 
 
+def _sample_path(text: str) -> Path | str:
+    """A sample CSV's path, or "-" (kept as such): standard input, of model id stdin."""
+    return text if text == "-" else Path(text)
+
+
+def _model_id(path: Path | str) -> str:
+    return "stdin" if path == "-" else path.stem
+
+
 def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--buckets", type=int, default=EvaluationContext.bucket_count,
                         help="number of gains-chart buckets (default %(default)s)")
@@ -106,12 +115,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("evaluate", help="evaluate one sample CSV")
-    p_eval.add_argument("sample", type=Path)
+    p_eval.add_argument("sample", type=_sample_path, help="sample CSV path, or - for stdin")
     _add_shared_flags(p_eval)
     _add_econ_flags(p_eval, required=False)
 
     p_cmp = sub.add_parser("compare", help="evaluate and rank several sample CSVs")
-    p_cmp.add_argument("samples", type=Path, nargs="+")
+    p_cmp.add_argument("samples", type=_sample_path, nargs="+",
+                       help="sample CSV paths, one of which may be - for stdin")
     _add_shared_flags(p_cmp)
     p_cmp.add_argument("--figure", type=Path, default=None,
                        help="write the potential-vs-benefit SVG here")
@@ -153,15 +163,15 @@ def _economics_from_args(args, parser: argparse.ArgumentParser) -> CampaignEcono
     return _checked(parser, CampaignEconomics, args.total_cost, args.addresses, args.responders)
 
 
-def _evaluate_path(args, path: Path) -> ModelEvaluation:
-    sample = rank_sample(parse_sample_csv(path), args.ties)
+def _evaluate_path(args, path: Path | str) -> ModelEvaluation:
+    sample = rank_sample(parse_sample_csv(sys.stdin.buffer if path == "-" else path), args.ties)
     ctx = EvaluationContext(
         sample=sample,
         bucket_count=args.buckets,
         cutoffs_of_interest=args.cutoffs,
         stretch_target=args.target,
     )
-    return evaluate_model(ctx, model_id=path.stem)
+    return evaluate_model(ctx, model_id=_model_id(path))
 
 
 def _reference_attainment(evaluation: ModelEvaluation) -> float:
@@ -183,7 +193,9 @@ def _cmd_evaluate(args, parser: argparse.ArgumentParser, out) -> int:
 
 def _cmd_compare(args, parser: argparse.ArgumentParser, out) -> int:
     _checked(parser, check_settings, args.buckets, args.cutoffs, args.target)
-    stems = [p.stem for p in args.samples]
+    if args.samples.count("-") > 1:
+        parser.error("standard input (-) can be read only once")
+    stems = list(map(_model_id, args.samples))
     if len(set(stems)) != len(stems):
         parser.error("sample files must have distinct names (model ids come from them)")
     evaluations = [_evaluate_path(args, p) for p in args.samples]

@@ -79,10 +79,10 @@ class GainsChart:
 
 
 @lru_cache(maxsize=16)
-def _row_cutoffs(bucket_count: int) -> tuple[Fraction, ...]:
-    """The cut-offs 1/B, ..., 1 of a chart's rows, as their cells load, one tuple per bucket count."""
-    return tuple(fraction_cell(str(Fraction(row, bucket_count)))
-                 for row in range(1, bucket_count + 1))
+def _row_cutoffs(bucket_count: int) -> tuple[tuple[Fraction, ...], tuple[str, ...]]:
+    """The cut-offs 1/B, ..., 1 of a chart's rows as their cells load, and their cells' text."""
+    text = tuple(str(Fraction(row, bucket_count)) for row in range(1, bucket_count + 1))
+    return tuple(map(fraction_cell, text)), text
 
 
 def build_gains_chart(sample: RankedSample, bucket_count: int) -> GainsChart:
@@ -119,4 +119,4 @@ def _columns(size: int, responders: list[int]) -> dict:
             "base_rate": Fraction(k, size), "spacing": Fraction(count, size),
             "p_down_chart": p_down / size, "pop_approx": columns["pop_cumulative"][-1],
             "pop_min_variant": 100 * int(bottom.sum()) / p_down,
-            "pop_max_variant": 100 * int(top.sum()) / p_down, "row_cutoffs": _row_cutoffs(count)}
+            "pop_max_variant": 100 * int(top.sum()) / p_down, "row_cutoffs": _row_cutoffs(count)[0]}

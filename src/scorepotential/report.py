@@ -26,7 +26,7 @@ import numpy as np
 
 from .economics import CampaignEconomics
 from .engine import BeniPoint, ComparisonReport, ModelEvaluation
-from .gains import Bucket, GainsChart
+from .gains import Bucket, GainsChart, _row_cutoffs
 from .rounding import fraction_cell, round_half_up
 from .sample import CutOff
 from .sample_csv import csv_table
@@ -48,11 +48,8 @@ PROFILE_CSV_HEADER = ["cutoff", "beni", "beni_max", "attainment_ratio"]
 def money_str(value: Fraction) -> str:
     """Decimal rendering of an exact money amount, half-up at two places."""
     dec = Decimal(value.numerator) / Decimal(value.denominator)
-    dec = dec.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP) or Decimal(0)  # no "-0"
-    text = format(dec, "f")
-    if "." in text:
-        text = text.rstrip("0").rstrip(".")
-    return text
+    dec = dec.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP)
+    return format(dec, "f").rstrip("0").rstrip(".") if dec else "0"  # never "-0"
 
 
 def _cells(template: str, column) -> list[str]:
@@ -61,8 +58,7 @@ def _cells(template: str, column) -> list[str]:
 
 
 def _rounded(columns: list) -> list[list[int]]:
-    """Each column rounded half up, as ints (no chart figure passes 100 times its sample
-    size, so none comes near 2**63)."""
+    """Each column rounded half up, as ints (no chart figure comes near 2**63)."""
     return round_half_up(np.array(columns, dtype=np.float64)).astype(np.int64).tolist()
 
 
@@ -184,8 +180,10 @@ def _codec(hint) -> _Codec:
                 return tuple(_take(item, v) for v in values)  # refuses the first of a wrong kind
             return tuple(values) if item.load is None else tuple(map(item.load, values))
 
+        if args[0] is Fraction:  # the row cut-offs of a chart: one column of text, as cached
+            return _Codec({list: "a list"}, _fraction_text, load_items, _fraction_text, item.parse)
         return _Codec({list: "a list"}, list if item.dump is None else lambda v: list(map(
-            item.dump, v)), load_items, item.cell, item.parse)
+            item.dump, v)), load_items, item.cell and partial(map, item.cell), item.parse)
     if get_origin(hint) is dict:  # dict[K, V]: a list of V objects, each with K's one field
         ((key_field, _, key),) = _fields(args[0])
         name, value = FIELD_COLUMNS.get(key_field, key_field), _codec(args[1])
@@ -234,6 +232,12 @@ def _codec(hint) -> _Codec:
     return _Codec({dict: "an object"}, dump, load)
 
 
+def _fraction_text(values: tuple[Fraction, ...]) -> list[str]:
+    """Each p/q's str; the row cut-offs of a chart from the text gains keeps beside them."""
+    cutoffs, text = _row_cutoffs(len(values))
+    return list(text if values == cutoffs else map(str, values))
+
+
 def _or_none(convert: Callable, value):
     return None if value is None else convert(value)
 
@@ -267,10 +271,9 @@ def _expect(value, ok: bool, expected: str):
 def _section(header: list[str], *owners: tuple[type, Callable]) -> list[tuple]:
     """One CSV section: a (name, codec, column) per name of the header.
 
-    A column holds the one field of its name among the owners (class,
-    rows); rows takes an evaluation to the class's objects in the section's
-    rows, and a tuple field of such an object holds a whole column.  column
-    takes an evaluation to the column's cells.
+    A column holds the one field of its name among the owners (class, rows), where rows
+    takes an evaluation to the class's objects in the section's rows; a tuple field holds
+    a whole column, which its codec's cell writes whole.  column gives the cells.
     """
     section = []
     for name in header:
@@ -287,7 +290,7 @@ def _section(header: list[str], *owners: tuple[type, Callable]) -> list[tuple]:
 def _column(rows: Callable, get: Callable, whole: bool, cell: Callable | None) -> Callable:
     def column(evaluation: ModelEvaluation):
         values = get(*rows(evaluation)) if whole else map(get, rows(evaluation))
-        return values if cell is None else map(cell, values)
+        return values if cell is None else cell(values) if whole else map(cell, values)
     return column
 
 
@@ -353,9 +356,8 @@ def _items(values, indent: str) -> list[str]:
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
-def evaluation_to_csv(
-    evaluation: ModelEvaluation, economics: CampaignEconomics | None = None
-) -> str:
+def evaluation_to_csv(evaluation: ModelEvaluation,
+                      economics: CampaignEconomics | None = None) -> str:
     meta, *tables = ([[name, *column(evaluation)] for name, _, column in section]
                      for section in _sections())
     sections = [list(zip(*meta)), *tables]  # each meta column is a row: name,value
@@ -392,8 +394,7 @@ def _read_table(rows: list[list[str]], section: list[tuple]) -> dict[str, list]:
 
 
 def _build(cls, columns: dict):
-    """One cls per row of the columns named after its fields; a tuple field
-    takes a whole column."""
+    """One cls per row of the columns named after its fields; a tuple field takes a column."""
     return map(cls, *(
         [tuple(columns[FIELD_COLUMNS.get(field, field)])] if get_origin(hint) is tuple
         else columns[FIELD_COLUMNS.get(field, field)]
@@ -429,9 +430,8 @@ def _render(fmt: str, value, text: Callable, to_dict: Callable, to_csv: Callable
     return renderers[fmt](value)
 
 
-def render_combined_chart(
-    evaluation: ModelEvaluation, fmt: str = "text", economics: CampaignEconomics | None = None
-) -> str:
+def render_combined_chart(evaluation: ModelEvaluation, fmt: str = "text",
+                          economics: CampaignEconomics | None = None) -> str:
     """Render one evaluation as the combined BenI/PoP document, followed by
     the campaign economics when they are given."""
     if economics is None:

@@ -29,21 +29,27 @@ class TiePolicy(str, Enum):
     OPTIMISTIC = "optimistic"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ScoredRecord:
-    """One promotable name: identifier, model score, observed binary response."""
+    """One promotable name: identifier, model score, observed binary response (no __dict__)."""
 
     id: str
     score: float
     response: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "score", float(self.score))
-        object.__setattr__(self, "response", int(self.response))
-        if self.response not in (0, 1):
-            raise ValueError(f"record {self.id!r}: response must be 0 or 1")
-        if not math.isfinite(self.score):
-            raise NonFiniteScore(self.id)
+    def __init__(self, id: str, score: float, response: int):
+        score, response = float(score), int(response)
+        if response not in (0, 1):
+            raise ValueError(f"record {id!r}: response must be 0 or 1")
+        if not math.isfinite(score):
+            raise NonFiniteScore(id)
+        _set_id(self, id)  # frozen: each slot is set once, past __setattr__, by its descriptor
+        _set_score(self, score)
+        _set_response(self, response)
+
+
+_set_id, _set_score, _set_response = (ScoredRecord.__dict__[name].__set__
+                                      for name in ("id", "score", "response"))
 
 
 @dataclass(frozen=True)
@@ -65,10 +71,6 @@ class CutOff:
 KEY_INT64_BOUND = 2**63
 
 
-def _records(ids, scores: np.ndarray, responses: np.ndarray) -> list[ScoredRecord]:
-    return list(map(ScoredRecord, ids, scores.tolist(), responses.tolist()))
-
-
 @dataclass(frozen=True, eq=False)
 class SampleColumns:
     """A scored sample as parallel columns in input order: what the ranker reads.
@@ -88,11 +90,9 @@ class SampleColumns:
             raise ValueError("ids, scores and responses must be parallel")
         if responses.dtype != np.bool_ and not np.isin(responses, (0, 1)).all():
             raise ValueError("responses must be 0 or 1")
-        non_finite = np.flatnonzero(~np.isfinite(scores))
-        if non_finite.size:
+        if (non_finite := np.flatnonzero(~np.isfinite(scores))).size:
             raise NonFiniteScore(self.ids[non_finite[0]])
-        object.__setattr__(self, "scores", scores)
-        object.__setattr__(self, "responses", responses.astype(np.bool_, copy=False))
+        vars(self).update(scores=scores, responses=responses.astype(np.bool_, copy=False))
 
     @classmethod
     def from_records(cls, records: Iterable[ScoredRecord]) -> SampleColumns:
@@ -104,7 +104,7 @@ class SampleColumns:
         return len(self.ids)
 
     def records(self) -> list[ScoredRecord]:
-        return _records(self.ids, self.scores, self.responses)
+        return list(map(ScoredRecord, self.ids, self.scores.tolist(), self.responses.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,7 +186,7 @@ class RankedSample:
 
     @cached_property
     def records(self) -> tuple[ScoredRecord, ...]:
-        return tuple(_records(self.ids, self.scores, self.responses))
+        return tuple(map(ScoredRecord, self.ids, self.scores.tolist(), self.responses.tolist()))
 
     @cached_property
     def ranks(self) -> tuple[float, ...]:

@@ -12,6 +12,7 @@ import csv
 import io
 import math
 from array import array
+from contextlib import nullcontext
 from functools import cached_property
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
@@ -36,7 +37,8 @@ SLICE_ROWS = 1 << 16
 
 
 def read_sample_columns(path) -> SampleColumns:
-    """Read a sample CSV straight into columns, validating the full contract.
+    """Read a sample CSV, from a path or a binary stream (left open), straight
+    into columns, validating the full contract.
 
     The stream is read once and never sought, so a pipe reads as a file does:
     the block reader takes the plain lines at its head and refuses a repeated
@@ -46,7 +48,7 @@ def read_sample_columns(path) -> SampleColumns:
     ids = _TakenIds()
     scores = array("d")  # raw doubles and bytes: no Python object per value
     responses = bytearray()
-    with open(path, "rb") as handle:
+    with nullcontext(path) if hasattr(path, "read") else open(path, "rb") as handle:
         taken, head = _read_plain(handle, ids, scores, responses)
         ids.check_unique()
         if head:  # lines left for the strict reader

@@ -5,10 +5,20 @@ from __future__ import annotations
 import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from scorepotential import EvaluationContext, evaluation_from_csv, sample_csv, write_sample_csv
+import scorepotential
+from scorepotential import (
+    EvaluationContext,
+    evaluation_from_csv,
+    generate_sample,
+    sample_csv,
+    write_sample_csv,
+)
 from scorepotential.cli import main
 from tests.conftest import (
     RATE4_DECILE_RESPONDERS,
@@ -329,13 +339,6 @@ def test_console_entrypoint_is_installed():
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import scorepotential
-
     src = Path(scorepotential.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
 
@@ -354,6 +357,69 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     malformed = tmp_path / "malformed.csv"
     malformed.write_text("id,score,response\nx,1_0,1\n", encoding="utf-8")
     assert run("evaluate", str(malformed)).returncode == 21
+
+
+def stdin_of(monkeypatch, data: bytes) -> io.BytesIO:
+    """Make data the process's standard input; return the byte stream beneath it."""
+    stream = io.BytesIO(data)
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(stream, encoding="utf-8"))
+    return stream
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_evaluate_dash_reads_stdin_as_the_model_stdin(tmp_path, monkeypatch, rate4_csv, fmt):
+    saved = tmp_path / "stdin.csv"
+    saved.write_bytes(rate4_csv.read_bytes())
+    stream = stdin_of(monkeypatch, saved.read_bytes())
+    piped = run_cli("evaluate", "-", "--format", fmt)
+    assert piped == run_cli("evaluate", str(saved), "--format", fmt)
+    assert piped[0] == 0
+    assert not stream.closed  # the process's stdin is not the reader's to close
+
+
+def test_evaluate_dash_of_a_pipe_writes_the_bytes_of_the_saved_file(tmp_path):
+    """A real pipe, longer than one read block and than the pipe's buffer."""
+    saved = tmp_path / "stdin.csv"
+    write_sample_csv(generate_sample(20_000, 0.04, 0.6, 20100707), saved)
+    env = {**os.environ, "PYTHONPATH": str(Path(scorepotential.__file__).resolve().parents[1])}
+
+    def run(source: str, data: bytes | None) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, "-m", "scorepotential", "evaluate", source,
+                               "--format", "json"], input=data, capture_output=True, env=env,
+                              timeout=120)
+
+    piped, read = run("-", saved.read_bytes()), run(str(saved), None)
+    assert piped.returncode == read.returncode == 0, piped.stderr
+    assert piped.stdout == read.stdout
+    assert json.loads(piped.stdout)["model_id"] == "stdin"
+
+
+def test_compare_reads_one_dash_beside_files(monkeypatch, rate4_csv, ten_name_csv):
+    stdin_of(monkeypatch, rate4_csv.read_bytes())
+    code, out = run_cli("compare", "-", str(ten_name_csv), "--format", "json")
+    assert code == 0
+    assert {e["model_id"] for e in json.loads(out)["evaluations"]} == {"stdin", "ten_name"}
+
+
+@pytest.mark.parametrize("samples, message", [
+    (["-", "-"], "standard input (-) can be read only once"),
+    (["-", "stdin.csv"], "sample files must have distinct names"),
+], ids=["two_dashes", "dash_and_stdin_csv"])
+def test_compare_refuses_stdin_twice_as_a_usage_error(monkeypatch, capsys, samples, message):
+    stdin_of(monkeypatch, b"id,score,response\na,1.0,1\n")
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli("compare", *samples)
+    assert excinfo.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_a_file_named_dash_is_read_by_a_path_to_it(tmp_path, monkeypatch, rate4_csv):
+    dash = tmp_path / "-"
+    dash.write_bytes(rate4_csv.read_bytes())
+    stdin_of(monkeypatch, b"")
+    code, out = run_cli("evaluate", str(dash), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["model_id"] == "-"
 
 
 @pytest.mark.parametrize("row, line", [

@@ -536,6 +536,30 @@ def test_charts_of_one_bucket_count_share_their_row_cutoffs(rate4_evaluation, ra
     assert rate4_evaluation.gains.row_cutoffs is rate8_evaluation.gains.row_cutoffs
 
 
+def test_row_cutoffs_are_written_from_their_cached_text(monkeypatch):
+    """No Fraction is formatted per chart row, in CSV or JSON, and the cells are
+    the str of each cut-off."""
+    records = bucketed_records([1] * 1000, 2)
+    evaluation = evaluate_model(EvaluationContext(sample=rank_sample(records), bucket_count=1000),
+                                model_id="m")
+    formatted = []
+    fraction_str = Fraction.__str__
+    monkeypatch.setattr(Fraction, "__str__", lambda f: formatted.append(f) or fraction_str(f))
+    csv_rows = list(csv.reader(io.StringIO(render_combined_chart(evaluation, "csv"))))
+    json_cells = evaluation_to_dict(evaluation)["gains"]["row_cutoffs"]
+    assert len(formatted) < 100  # the meta and profile cells
+    monkeypatch.undo()
+    expected = list(map(str, evaluation.gains.row_cutoffs))
+    header = csv_rows.index(report.BUCKET_CSV_HEADER)
+    assert [row[-1] for row in csv_rows[header + 1:header + 1001]] == expected == json_cells
+    assert expected[:2] == ["1/1000", "1/500"]
+
+
+def test_a_fraction_column_other_than_row_cutoffs_is_written_a_cell_at_a_time():
+    assert report._fraction_text((Fraction(1, 3), Fraction(2), Fraction(-5, 7))) == [
+        "1/3", "2", "-5/7"]
+
+
 def _repeat_model_id(lines):
     lines.insert(1, "model_id,other\n")
 

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import math
+import pickle
 from fractions import Fraction
 from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from scorepotential import (
     CutOff,
@@ -111,6 +116,101 @@ def test_non_finite_score_names_offender():
 def test_response_must_be_binary():
     with pytest.raises(ValueError):
         ScoredRecord("r", 1.0, 2)
+
+
+@dataclasses.dataclass(frozen=True)
+class DictRecord:
+    """ScoredRecord as a frozen dataclass with a __dict__ and a __post_init__:
+    the record the slotted one must match field for field and error for error."""
+
+    id: str
+    score: float
+    response: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "score", float(self.score))
+        object.__setattr__(self, "response", int(self.response))
+        if self.response not in (0, 1):
+            raise ValueError(f"record {self.id!r}: response must be 0 or 1")
+        if not math.isfinite(self.score):
+            raise NonFiniteScore(self.id)
+
+
+def record_outcome(make, *values):
+    """The fields of make(*values), each with its type (a float by its repr, so
+    -0.0 is not 0.0), or the type and message of the error it raises."""
+    try:
+        record = make(*values)
+    except Exception as err:
+        return type(err), str(err)
+    return [(type(value), repr(value)) for value in dataclasses.astuple(record)]
+
+
+NUMERIC_STRINGS = ["0", "1", "-0", "1.0", "0.5", "2", "1e400", "-1e400", "nan", "inf", "-inf",
+                   " 1 ", "1_0", "0x1", "", "abc", "١"]
+NUMBERS = st.one_of(
+    st.floats(), st.integers(), st.booleans(), st.sampled_from([0, 1, 0.0, 1.0, -0.0]),
+    st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64), st.booleans().map(np.bool_),
+    st.sampled_from([np.uint8(0), np.uint8(1), np.int32(2)]),
+    st.floats().map(repr), st.integers().map(str), st.sampled_from(NUMERIC_STRINGS),
+    st.none(), st.just(Fraction(1, 3)),
+)
+
+
+@given(record_id=st.one_of(st.text(max_size=5), st.integers()), score=NUMBERS, response=NUMBERS)
+@example(record_id="n", score=float("nan"), response=2)  # the response is judged first
+@example(record_id="n", score="x", response="y")  # the score is converted first
+@example(record_id="n", score=float("inf"), response=True)
+@example(record_id="n", score=np.float64(-0.0), response=np.bool_(False))
+def test_the_slotted_record_converts_and_refuses_as_the_dataclass_did(record_id, score, response):
+    assert (record_outcome(ScoredRecord, record_id, score, response)
+            == record_outcome(DictRecord, record_id, score, response))
+
+
+def test_a_record_survives_pickle_and_copy():
+    record = ScoredRecord("a", np.float64(2.5), np.bool_(True))
+    copies = [pickle.loads(pickle.dumps(record, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for other in [*copies, copy.copy(record), copy.deepcopy(record)]:
+        assert other == record and hash(other) == hash(record)
+        assert type(other.score) is float and type(other.response) is int
+
+
+def test_replace_builds_a_record_through_its_checks():
+    record = ScoredRecord("a", 1.0, 0)
+    assert dataclasses.replace(record, score=3, response=True) == ScoredRecord("a", 3.0, 1)
+    with pytest.raises(ValueError, match="response must be 0 or 1"):
+        dataclasses.replace(record, response=2)
+    with pytest.raises(NonFiniteScore):
+        dataclasses.replace(record, score=float("-inf"))
+
+
+def test_a_record_hashes_and_compares_as_one_built_the_old_way():
+    for values in [("a", 1.0, 0), ("b", -0.0, True), ("c", np.float32(0.1), np.int64(1))]:
+        old, new = DictRecord(*values), ScoredRecord(*values)
+        assert hash(new) == hash(old)
+        assert new == ScoredRecord(*dataclasses.astuple(old))
+        assert dataclasses.astuple(new) == dataclasses.astuple(old)
+        assert repr(new) == repr(old).replace("DictRecord", "ScoredRecord")
+    assert ScoredRecord("a", 1.0, 0) != ScoredRecord("a", 1.0, 1)
+
+
+def test_a_record_is_frozen_and_holds_no_dict():
+    record = ScoredRecord("a", 1.0, 0)
+    for name in ("id", "score", "response"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(record, name)
+    # Another name has no slot; the frozen __setattr__ of a slotted dataclass
+    # refuses it with TypeError on some Python versions.
+    with pytest.raises((AttributeError, TypeError)):
+        record.other = 1
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(TypeError):
+        vars(record)
+    assert ScoredRecord.__slots__ == ("id", "score", "response")
 
 
 def test_cutoff_bounds():
