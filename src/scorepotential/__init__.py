@@ -69,7 +69,6 @@ from .sample import (
 )
 from .sample_csv import (
     read_sample_columns,
-    records_to_csv_text,
     write_sample_csv,
 )
 
@@ -87,7 +86,7 @@ __all__ = [
     "economics_summary", "evaluate_model", "evaluation_from_csv", "evaluation_from_dict",
     "evaluation_to_csv", "evaluation_to_dict", "generate_columns", "generate_sample",
     "perfect_rank_sum", "pop_denominator_exact", "pop_exact",
-    "pop_numerator_exact", "rank_sample", "read_sample_columns", "records_to_csv_text",
+    "pop_numerator_exact", "rank_sample", "read_sample_columns",
     "render_combined_chart", "render_comparison", "render_economics_text",
     "render_pop_vs_beni_figure", "selection_count", "spreading_loss",
     "write_sample_csv",

@@ -34,11 +34,11 @@ from .report import (
     to_json,
 )
 from .sample import CutOff, TiePolicy, rank_sample
-# The parse stage reads columns, never per-row records, and gen writes its
-# text in slices, never all at once; each keeps the name under which
-# bench/tracing.py times the CLI's parse or CSV-text layer.
-from .sample_csv import _write_csv as records_to_csv_text
+# The parse stage reads columns, never per-row records, and gen writes them
+# to its target, never as one text; each keeps the name under which
+# bench/tracing.py times the CLI's parse or CSV-write layer.
 from .sample_csv import read_sample_columns as parse_sample_csv
+from .sample_csv import write_sample_csv as records_to_csv_text
 
 IO_ERROR_EXIT = 3
 
@@ -209,11 +209,7 @@ def _cmd_compare(args, parser: argparse.ArgumentParser, out) -> int:
 
 def _cmd_gen(args, parser: argparse.ArgumentParser, out) -> int:
     columns = _checked(parser, generate_sample, args.size, args.rate, args.quality, args.seed)
-    if args.output is None:
-        records_to_csv_text(columns, out)
-    else:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            records_to_csv_text(columns, handle)
+    records_to_csv_text(columns, out if args.output is None else args.output)
     return 0
 
 

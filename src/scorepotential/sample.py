@@ -29,10 +29,12 @@ class TiePolicy(str, Enum):
     OPTIMISTIC = "optimistic"
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, init=False)
 class ScoredRecord:
     """One promotable name: identifier, model score, observed binary response (no __dict__)."""
 
+    # By hand: slots=True makes a new class, which the frozen __setattr__ does not know.
+    __slots__ = ("id", "score", "response")
     id: str
     score: float
     response: int
@@ -46,6 +48,10 @@ class ScoredRecord:
         _set_id(self, id)  # frozen: each slot is set once, past __setattr__, by its descriptor
         _set_score(self, score)
         _set_response(self, response)
+
+    def __reduce__(self):
+        """Pickle and copy rebuild a record by its constructor, not by the frozen __setattr__."""
+        return ScoredRecord, (self.id, self.score, self.response)
 
 
 _set_id, _set_score, _set_response = (ScoredRecord.__dict__[name].__set__

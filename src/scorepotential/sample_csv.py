@@ -15,12 +15,12 @@ from array import array
 from contextlib import nullcontext
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import BadResponseValue, DuplicateId, EmptySample, MalformedRow
-from .sample import SampleColumns, ScoredRecord
+from .sample import SampleColumns
 
 HEADER = ["id", "score", "response"]
 _HEADER_LINE = ",".join(HEADER) + "\n"
@@ -248,31 +248,14 @@ def csv_table(columns: list) -> str:
     return out.getvalue()
 
 
-def _csv_slices(sample: SampleColumns | Iterable[ScoredRecord]) -> Iterator[str]:
-    """The header line, then the CSV text of SLICE_ROWS rows at a time, by csv_table.
-
-    Takes columns, or records whose columns are extracted first.  Scores are
-    written as repr, responses as 0/1.
-    """
-    columns = sample if isinstance(sample, SampleColumns) else SampleColumns.from_records(sample)
-    yield _HEADER_LINE
-    for start in range(0, len(columns), SLICE_ROWS):
-        rows = slice(start, start + SLICE_ROWS)
-        yield csv_table([columns.ids[rows], columns.scores[rows].tolist(),
-                         columns.responses[rows].view(np.uint8).tolist()])
-
-
-def records_to_csv_text(sample: SampleColumns | Iterable[ScoredRecord]) -> str:
-    """CSV text in the same format read_sample_columns reads (full float precision)."""
-    return "".join(_csv_slices(sample))
-
-
-def _write_csv(sample: SampleColumns | Iterable[ScoredRecord], handle) -> None:
-    """Write records_to_csv_text(sample) to a text handle, one slice at a time."""
-    handle.writelines(_csv_slices(sample))
-
-
-def write_sample_csv(sample: SampleColumns | Iterable[ScoredRecord], path) -> None:
-    """Write a sample, as columns or records, in the format read_sample_columns reads."""
-    with open(path, "w", encoding="utf-8") as handle:
-        _write_csv(sample, handle)
+def write_sample_csv(sample: SampleColumns, target) -> None:
+    """Write a sample in the format read_sample_columns reads, to a path or a text
+    stream (left open): the header, then SLICE_ROWS rows at a time by csv_table.
+    Scores are written as repr (full float precision), responses as 0/1."""
+    with nullcontext(target) if hasattr(target, "write") else open(
+            target, "w", encoding="utf-8") as handle:
+        handle.write(_HEADER_LINE)
+        for start in range(0, len(sample), SLICE_ROWS):
+            rows = slice(start, start + SLICE_ROWS)
+            handle.write(csv_table([sample.ids[rows], sample.scores[rows].tolist(),
+                                    sample.responses[rows].view(np.uint8).tolist()]))

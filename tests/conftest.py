@@ -18,6 +18,7 @@ from scorepotential import (
     BeniPoint,
     Bucket,
     GainsChart,
+    SampleColumns,
     ScoredRecord,
     TiePolicy,
     ToolkitError,
@@ -236,6 +237,13 @@ def reference_csv_text(records) -> str:
     writer.writerow(["id", "score", "response"])
     for record in records:
         writer.writerow([record.id, repr(record.score), record.response])
+    return out.getvalue()
+
+
+def written_csv_text(columns: SampleColumns) -> str:
+    """The text write_sample_csv writes for the columns to a text stream."""
+    out = io.StringIO()
+    sample_csv.write_sample_csv(columns, out)
     return out.getvalue()
 
 

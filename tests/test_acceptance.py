@@ -21,6 +21,7 @@ import pytest
 from scorepotential import (
     CutOff,
     EvaluationContext,
+    SampleColumns,
     ScoredRecord,
     auc_crosscheck,
     beni,
@@ -29,7 +30,7 @@ from scorepotential import (
     build_gains_chart,
     compare_models,
     evaluate_model,
-    generate_sample,
+    generate_columns,
     perfect_rank_sum,
     pop_denominator_exact,
     pop_exact,
@@ -267,9 +268,8 @@ def test_criterion_10_comparison_determinism(criterion, tmp_path):
     with criterion(10, "compare over 20 generated models: byte-identical reports, concurrent too"):
         paths = []
         for seed in range(20):
-            records = generate_sample(100, 0.05, seed / 19, seed)
             path = tmp_path / f"gen{seed:02d}.csv"
-            write_sample_csv(records, path)
+            write_sample_csv(generate_columns(100, 0.05, seed / 19, seed), path)
             paths.append(str(path))
 
         def run() -> str:
@@ -300,9 +300,10 @@ def test_criterion_10_comparison_determinism(criterion, tmp_path):
 def test_criterion_11_stretch_target_gate(criterion, tmp_path):
     with criterion(11, "4%-rate chart model fails an 80% stretch target; a quality-1.0 model passes"):
         rate4_path = tmp_path / "rate4.csv"
-        write_sample_csv(bucketed_records(RATE4_DECILE_RESPONDERS, 10), rate4_path)
+        write_sample_csv(SampleColumns.from_records(bucketed_records(RATE4_DECILE_RESPONDERS, 10)),
+                         rate4_path)
         strong_path = tmp_path / "strong.csv"
-        write_sample_csv(generate_sample(100, 0.04, 1.0, 7), strong_path)
+        write_sample_csv(generate_columns(100, 0.04, 1.0, 7), strong_path)
 
         out = io.StringIO()
         code = main(

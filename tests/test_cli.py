@@ -14,8 +14,9 @@ import pytest
 import scorepotential
 from scorepotential import (
     EvaluationContext,
+    SampleColumns,
     evaluation_from_csv,
-    generate_sample,
+    generate_columns,
     sample_csv,
     write_sample_csv,
 )
@@ -37,14 +38,15 @@ def run_cli(*argv: str) -> tuple[int, str]:
 @pytest.fixture
 def rate4_csv(tmp_path):
     path = tmp_path / "rate4.csv"
-    write_sample_csv(bucketed_records(RATE4_DECILE_RESPONDERS, 10), path)
+    write_sample_csv(SampleColumns.from_records(bucketed_records(RATE4_DECILE_RESPONDERS, 10)),
+                     path)
     return path
 
 
 @pytest.fixture
 def ten_name_csv(tmp_path):
     path = tmp_path / "ten_name.csv"
-    write_sample_csv(ten_name_records(), path)
+    write_sample_csv(SampleColumns.from_records(ten_name_records()), path)
     return path
 
 
@@ -105,7 +107,8 @@ def test_evaluate_custom_cutoffs_and_ties(ten_name_csv):
 
 def test_compare_ranks_and_flags_below_target(tmp_path, rate4_csv):
     strong = tmp_path / "strong.csv"
-    write_sample_csv(bucketed_records([4, 0, 0, 0, 0, 0, 0, 0, 0, 0], 10), strong)
+    write_sample_csv(SampleColumns.from_records(bucketed_records([4, 0, 0, 0, 0, 0, 0, 0, 0, 0], 10)),
+                     strong)
     code, out = run_cli(
         "compare", str(rate4_csv), str(strong), "--target", "80",
         "--format", "json",
@@ -121,7 +124,8 @@ def test_compare_ranks_and_flags_below_target(tmp_path, rate4_csv):
 @pytest.mark.parametrize("cutoffs", [[], ["--cutoffs", "1%"]])
 def test_compare_writes_figure(tmp_path, rate4_csv, cutoffs):
     strong = tmp_path / "strong.csv"
-    write_sample_csv(bucketed_records([4, 0, 0, 0, 0, 0, 0, 0, 0, 0], 10), strong)
+    write_sample_csv(SampleColumns.from_records(bucketed_records([4, 0, 0, 0, 0, 0, 0, 0, 0, 0], 10)),
+                     strong)
     figure = tmp_path / "out.svg"
     code, _ = run_cli(
         "compare", str(rate4_csv), str(strong), "--figure", str(figure), *cutoffs
@@ -138,7 +142,8 @@ def test_compare_writes_figure(tmp_path, rate4_csv, cutoffs):
 def test_compare_prints_nothing_when_its_figure_fails(tmp_path, rate4_csv, models, figure_dir,
                                                       exit_code):
     strong = tmp_path / "strong.csv"
-    write_sample_csv(bucketed_records([4, 0, 0, 0, 0, 0, 0, 0, 0, 0], 10), strong)
+    write_sample_csv(SampleColumns.from_records(bucketed_records([4, 0, 0, 0, 0, 0, 0, 0, 0, 0], 10)),
+                     strong)
     figure = tmp_path / figure_dir / "out.svg"
     paths = [str(rate4_csv), str(strong)][:models]
     assert run_cli("compare", *paths, "--figure", str(figure)) == (exit_code, "")
@@ -149,11 +154,9 @@ def test_compare_output_is_byte_identical_across_runs(tmp_path):
     paths = []
     for seed in range(4):
         path = tmp_path / f"m{seed}.csv"
-        write_sample_csv(
+        write_sample_csv(SampleColumns.from_records(
             bucketed_records(RATE4_DECILE_RESPONDERS, 10) if seed == 0
-            else bucketed_records([seed, 1, 0, 0, 1, 0, 0, 0, 0, 0], 10),
-            path,
-        )
+            else bucketed_records([seed, 1, 0, 0, 1, 0, 0, 0, 0, 0], 10)), path)
         paths.append(str(path))
     first = run_cli("compare", *paths, "--format", "json")
     second = run_cli("compare", *paths, "--format", "json")
@@ -281,6 +284,12 @@ def test_any_value_generate_sample_rejects_is_a_usage_error(tmp_path, capsys):
         "scorepotential gen: error: seed must be a non-negative integer\n")
 
 
+def test_a_valid_gen_into_a_missing_directory_is_an_io_error(tmp_path, capsys):
+    assert run_cli(*GEN.format(tmp=tmp_path).split()) == (3, "")
+    assert capsys.readouterr().err.startswith("i/o error: ")
+    assert not (tmp_path / "missing").exists()
+
+
 # Errors found after parsing: by the library, or by a rule across flags.
 @pytest.mark.parametrize("command", [
     GEN + " --seed -1",
@@ -380,7 +389,7 @@ def test_evaluate_dash_reads_stdin_as_the_model_stdin(tmp_path, monkeypatch, rat
 def test_evaluate_dash_of_a_pipe_writes_the_bytes_of_the_saved_file(tmp_path):
     """A real pipe, longer than one read block and than the pipe's buffer."""
     saved = tmp_path / "stdin.csv"
-    write_sample_csv(generate_sample(20_000, 0.04, 0.6, 20100707), saved)
+    write_sample_csv(generate_columns(20_000, 0.04, 0.6, 20100707), saved)
     env = {**os.environ, "PYTHONPATH": str(Path(scorepotential.__file__).resolve().parents[1])}
 
     def run(source: str, data: bytes | None) -> subprocess.CompletedProcess:

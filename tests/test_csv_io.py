@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import os
 from array import array
 from unittest import mock
@@ -15,18 +16,19 @@ from scorepotential import (
     DuplicateId,
     EmptySample,
     MalformedRow,
+    SampleColumns,
     ScoredRecord,
     TiePolicy,
     ToolkitError,
+    generate_columns,
     generate_sample,
     rank_sample,
     read_sample_columns,
-    records_to_csv_text,
     write_sample_csv,
 )
 from scorepotential import sample_csv
 from tests.conftest import (byte_stream, read_csv_bytes, read_through_fifo, reference_csv_text,
-                            reference_rank, ten_name_records)
+                            reference_rank, ten_name_records, written_csv_text)
 
 
 def _write(tmp_path, text):
@@ -37,7 +39,7 @@ def _write(tmp_path, text):
 
 def test_parses_the_ten_row_worked_sample(tmp_path):
     path = tmp_path / "t3.csv"
-    write_sample_csv(ten_name_records(), path)
+    write_sample_csv(SampleColumns.from_records(ten_name_records()), path)
     records = read_sample_columns(path).records()
     assert len(records) == 10
     assert sum(r.response for r in records) == 3
@@ -120,13 +122,14 @@ def test_round_trip_preserves_full_float_precision(tmp_path):
 
     records = generate_sample(64, 0.25, 0.37, 1234)
     path = tmp_path / "gen.csv"
-    write_sample_csv(records, path)
+    write_sample_csv(SampleColumns.from_records(records), path)
     assert read_sample_columns(path).records() == records
 
 
 def test_ids_that_are_not_strings_are_written_as_before():
     records = [ScoredRecord(5, 1.0, 0), ScoredRecord(None, 2.0, 1)]
-    assert records_to_csv_text(records) == "id,score,response\n5,1.0,0\n,2.0,1\n"
+    assert written_csv_text(SampleColumns.from_records(records)) == (
+        "id,score,response\n5,1.0,0\n,2.0,1\n")
 
 
 # A slice is written by one % of its cells, so an id must be an argument of
@@ -136,7 +139,22 @@ def test_ids_that_look_like_format_directives_are_written_as_they_are(slice_rows
     ids = ["%s", "%d", "%%", "%(x)s", "100%", "é€😀"]
     records = [ScoredRecord(record_id, i / 7, i % 2) for i, record_id in enumerate(ids)]
     with mock.patch.object(sample_csv, "SLICE_ROWS", slice_rows):
-        assert records_to_csv_text(records) == reference_csv_text(records)
+        assert written_csv_text(SampleColumns.from_records(records)) == reference_csv_text(records)
+
+
+# The writer takes a text stream, which it leaves open, as it takes a path.
+@pytest.mark.parametrize("slice_rows", [1, 2, sample_csv.SLICE_ROWS])
+def test_a_sample_writes_the_same_bytes_to_a_stream_as_to_a_path(tmp_path, slice_rows):
+    ids = ["a", "é€😀", "x,y", 'q"', "%s"]  # csv.writer quotes the third and the fourth
+    columns = SampleColumns(ids, [i / 7 for i in range(5)], [i % 2 for i in range(5)])
+    path = tmp_path / "sample.csv"
+    stream = io.StringIO()
+    with mock.patch.object(sample_csv, "SLICE_ROWS", slice_rows):
+        write_sample_csv(columns, path)
+        write_sample_csv(columns, stream)
+    stream.write("more")
+    assert stream.getvalue().encode("utf-8") == path.read_bytes() + b"more"
+    assert path.read_text(encoding="utf-8") == reference_csv_text(columns.records())
 
 
 def test_blank_first_line_does_not_skip_the_header_check(tmp_path):
@@ -166,7 +184,7 @@ def test_exponent_and_signed_scores_stay_valid(tmp_path):
 
 def test_columns_hold_what_the_records_hold(tmp_path):
     path = tmp_path / "t3.csv"
-    write_sample_csv(ten_name_records(), path)
+    write_sample_csv(SampleColumns.from_records(ten_name_records()), path)
     columns = read_sample_columns(path)
     assert list(columns.ids) == [r.id for r in ten_name_records()]
     assert columns.scores.dtype == np.float64 and columns.responses.dtype == np.bool_
@@ -256,7 +274,7 @@ def test_block_reader_takes_a_plain_file_as_the_strict_reader_does(tmp_path, mon
                                                                   block_bytes, pipe):
     monkeypatch.setattr(sample_csv, "BLOCK_BYTES", block_bytes)
     path = tmp_path / "gen.csv"
-    write_sample_csv(generate_sample(300, 0.1, 0.5, 11), path)
+    write_sample_csv(generate_columns(300, 0.1, 0.5, 11), path)
     data = path.read_bytes()
     assert read_csv_bytes(data, pipe=pipe) == (301, read_csv_bytes(data, block_reader=False)[1])
 
@@ -391,7 +409,7 @@ def test_ids_taken_by_the_block_reader_read_as_the_strict_readers_list(tmp_path,
     records = [ScoredRecord(f"{'n' * (i % 11)}{i}", round(r.score, 1), r.response)
                for i, r in enumerate(generate_sample(400, 0.1, 0.5, 3))]  # ties, varied lengths
     path = tmp_path / "ties.csv"
-    write_sample_csv(records, path)
+    write_sample_csv(SampleColumns.from_records(records), path)
     expected = [r.id for r in records]
     assert read_csv_bytes(path.read_bytes(), block_reader=False)[1][0] == expected
     monkeypatch.setattr(sample_csv, "_read_strict", _strict_reader_never_runs)

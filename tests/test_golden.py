@@ -26,14 +26,15 @@ import pytest
 from scorepotential import (
     CampaignEconomics,
     EvaluationContext,
+    SampleColumns,
     ScoredRecord,
     evaluate_model,
     evaluation_from_csv,
     evaluation_to_csv,
     generate_columns,
     rank_sample,
-    records_to_csv_text,
     render_combined_chart,
+    write_sample_csv,
 )
 from scorepotential.cli import main
 from scorepotential.report import BUCKET_CSV_HEADER, PROFILE_CSV_HEADER
@@ -41,6 +42,7 @@ from tests.conftest import (
     RATE4_DECILE_RESPONDERS,
     RATE8_DECILE_RESPONDERS,
     bucketed_records,
+    written_csv_text,
 )
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -128,7 +130,7 @@ def render_case(name: str, folder: Path) -> str:
     paths = {"figure.svg": folder / "figure.svg"}
     for stem, records in samples().items():
         paths[stem] = folder / f"{stem}.csv"
-        paths[stem].write_text(records_to_csv_text(records), encoding="utf-8")
+        write_sample_csv(SampleColumns.from_records(records), paths[stem])
     argv = [str(paths.get(arg, arg)) for arg in CASES[name]]
     out = io.StringIO()
     assert main(argv, out=out) == 0
@@ -150,7 +152,7 @@ def test_gen_bytes_at_the_benchmark_size_are_pinned():
 
 
 def test_the_gen_1000_rate4_sample_is_the_gen_golden():
-    text = records_to_csv_text(samples()["gen_1000_rate4"])
+    text = written_csv_text(SampleColumns.from_records(samples()["gen_1000_rate4"]))
     assert text == (GOLDEN_DIR / "gen_1000_rate4.csv").read_text(encoding="utf-8")
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import itertools
 import json
 import math
@@ -35,7 +34,6 @@ from scorepotential import (
     pop_exact,
     pop_numerator_exact,
     rank_sample,
-    records_to_csv_text,
     render_combined_chart,
     sample_csv,
 )
@@ -51,6 +49,7 @@ from tests.conftest import (
     reference_profile,
     reference_rank,
     stable_rank_order,
+    written_csv_text,
 )
 
 
@@ -528,9 +527,7 @@ def writable_records(draw):
 
 @given(records=writable_records())
 def test_csv_writer_matches_the_reference_loop(records):
-    expected = reference_csv_text(records)
-    assert records_to_csv_text(records) == expected
-    assert records_to_csv_text(SampleColumns.from_records(records)) == expected
+    assert written_csv_text(SampleColumns.from_records(records)) == reference_csv_text(records)
 
 
 @given(size=st.integers(1, 3000),
@@ -545,16 +542,14 @@ def test_columnar_generator_matches_the_reference_loop(size, rate, quality, seed
     columns = generate_columns(size, rate, quality, seed)
     expected = reference_generate_sample(size, rate, quality, seed)
     assert columns.records() == generate_sample(size, rate, quality, seed) == expected
-    assert records_to_csv_text(columns) == reference_csv_text(expected)
+    assert written_csv_text(columns) == reference_csv_text(expected)
 
 
 @given(records=writable_records(), slice_rows=st.integers(1, 8))
 def test_csv_slices_join_to_the_reference_text(records, slice_rows):
     with mock.patch.object(sample_csv, "SLICE_ROWS", slice_rows):
-        text = records_to_csv_text(records)
-        out = io.StringIO()
-        sample_csv._write_csv(records, out)
-    assert text == out.getvalue() == reference_csv_text(records)
+        text = written_csv_text(SampleColumns.from_records(records))
+    assert text == reference_csv_text(records)
 
 
 PLAIN_ID_CHARS = "abcxyzABC0129._-+!#/:;~"
