@@ -24,7 +24,7 @@ from .engine import (
 # gen draws columns, never per-row records; it keeps the name under which
 # bench/tracing.py times the CLI's generate layer.
 from .engine import generate_columns as generate_sample
-from .errors import ToolkitError
+from .errors import ToolkitError, errors_naming
 from .figure import render_pop_vs_beni_figure
 from .report import (
     economics_summary,
@@ -72,13 +72,13 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
 
 
-def _sample_path(text: str) -> Path | str:
-    """A sample CSV's path, or "-" (kept as such): standard input, of model id stdin."""
-    return text if text == "-" else Path(text)
+def _sample(text: str) -> tuple:
+    """A sample argument as (model id, source): "-" is stdin's bytes, of model id stdin."""
+    return ("stdin", sys.stdin.buffer) if text == "-" else (Path(text).stem, Path(text))
 
 
-def _model_id(path: Path | str) -> str:
-    return "stdin" if path == "-" else path.stem
+def _stdout_or_path(text: str) -> Path | None:
+    return None if text == "-" else Path(text)
 
 
 def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
@@ -115,12 +115,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("evaluate", help="evaluate one sample CSV")
-    p_eval.add_argument("sample", type=_sample_path, help="sample CSV path, or - for stdin")
+    p_eval.add_argument("sample", type=_sample, help="sample CSV path, or - for stdin")
     _add_shared_flags(p_eval)
     _add_econ_flags(p_eval, required=False)
 
     p_cmp = sub.add_parser("compare", help="evaluate and rank several sample CSVs")
-    p_cmp.add_argument("samples", type=_sample_path, nargs="+",
+    p_cmp.add_argument("samples", type=_sample, nargs="+",
                        help="sample CSV paths, one of which may be - for stdin")
     _add_shared_flags(p_cmp)
     p_cmp.add_argument("--figure", type=Path, default=None,
@@ -131,8 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--rate", type=_rational, required=True)
     p_gen.add_argument("--quality", type=float, required=True)
     p_gen.add_argument("--seed", type=int, required=True)
-    p_gen.add_argument("-o", "--output", type=Path, default=None,
-                       help="output path (default: stdout)")
+    p_gen.add_argument("-o", "--output", type=_stdout_or_path, default=None,
+                       help="output path, or - for stdout (default: stdout)")
 
     p_econ = sub.add_parser("econ", help="campaign cost arithmetic")
     _add_econ_flags(p_econ, required=True)
@@ -163,15 +163,16 @@ def _economics_from_args(args, parser: argparse.ArgumentParser) -> CampaignEcono
     return _checked(parser, CampaignEconomics, args.total_cost, args.addresses, args.responders)
 
 
-def _evaluate_path(args, path: Path | str) -> ModelEvaluation:
-    sample = rank_sample(parse_sample_csv(sys.stdin.buffer if path == "-" else path), args.ties)
-    ctx = EvaluationContext(
-        sample=sample,
-        bucket_count=args.buckets,
-        cutoffs_of_interest=args.cutoffs,
-        stretch_target=args.target,
-    )
-    return evaluate_model(ctx, model_id=_model_id(path))
+def _evaluate_sample(args, model_id: str, source) -> ModelEvaluation:
+    """Read, rank and evaluate one model's sample; every error it raises names the model."""
+    with errors_naming(model_id):
+        ctx = EvaluationContext(
+            sample=rank_sample(parse_sample_csv(source), args.ties),
+            bucket_count=args.buckets,
+            cutoffs_of_interest=args.cutoffs,
+            stretch_target=args.target,
+        )
+    return evaluate_model(ctx, model_id=model_id)  # which names its own errors
 
 
 def _reference_attainment(evaluation: ModelEvaluation) -> float:
@@ -187,18 +188,18 @@ def _reference_attainment(evaluation: ModelEvaluation) -> float:
 def _cmd_evaluate(args, parser: argparse.ArgumentParser, out) -> int:
     _checked(parser, check_settings, args.buckets, args.cutoffs, args.target)
     economics = _economics_from_args(args, parser)
-    out.write(render_combined_chart(_evaluate_path(args, args.sample), args.fmt, economics))
+    out.write(render_combined_chart(_evaluate_sample(args, *args.sample), args.fmt, economics))
     return 0
 
 
 def _cmd_compare(args, parser: argparse.ArgumentParser, out) -> int:
     _checked(parser, check_settings, args.buckets, args.cutoffs, args.target)
-    if args.samples.count("-") > 1:
+    if sum(not isinstance(source, Path) for _, source in args.samples) > 1:
         parser.error("standard input (-) can be read only once")
-    stems = list(map(_model_id, args.samples))
-    if len(set(stems)) != len(stems):
+    model_ids = [model_id for model_id, _ in args.samples]
+    if len(set(model_ids)) != len(model_ids):
         parser.error("sample files must have distinct names (model ids come from them)")
-    evaluations = [_evaluate_path(args, p) for p in args.samples]
+    evaluations = [_evaluate_sample(args, *sample) for sample in args.samples]
     report = compare_models(evaluations)
     if args.figure is not None:  # first, so that a figure that fails leaves stdout empty
         series = [(e.model_id, e.pop_exact, _reference_attainment(e)) for e in report.evaluations]
@@ -223,8 +224,7 @@ def _cmd_econ(args, parser, out) -> int:
 
 
 def main(argv=None, out=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     out = out if out is not None else sys.stdout
     try:
         return args.run(args, args.command_parser, out)

@@ -9,7 +9,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import EmptyBatch, ToolkitError
+from .errors import EmptyBatch, errors_naming
 from .gains import GainsChart, build_gains_chart
 from .metrics import (benefit_index, beni_at_cutoff, ceiling_and_attainment, pop_exact,
                       selection_count)
@@ -139,7 +139,7 @@ class ComparisonReport:
 def evaluate_model(ctx: EvaluationContext, model_id: str) -> ModelEvaluation:
     """Compute exact and chart score potential plus the BenI profile."""
     sample = ctx.sample
-    try:
+    with errors_naming(model_id):
         exact = pop_exact(sample)
         chart = build_gains_chart(sample, ctx.bucket_count)
         profile = {}
@@ -148,9 +148,6 @@ def evaluate_model(ctx: EvaluationContext, model_id: str) -> ModelEvaluation:
             beni_at_cutoff(sample, cut)  # refuses an empty pass set
             n = selection_count(size, cut)
             profile[cut] = _beni_point(int(sample.top_responders[n]), n, cut, k, size)
-    except ToolkitError as err:
-        err.model_id = model_id
-        raise
 
     flags = {"all_responders": sample.responders_k == sample.size_x,
              "ties_present": sample.has_ties}

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 
 class ToolkitError(Exception):
     """Base class for all domain errors raised by this package.
@@ -25,6 +27,16 @@ class ToolkitError(Exception):
     def __str__(self) -> str:
         base = self.template.format(**dict(zip(self.fields, self.args)))
         return base if self.model_id is None else f"model {self.model_id!r}: {base}"
+
+
+@contextmanager
+def errors_naming(model_id: str):
+    """Set model_id on a ToolkitError raised in the block, so that its message names the model."""
+    try:
+        yield
+    except ToolkitError as err:
+        err.model_id = model_id
+        raise
 
 
 class EmptySample(ToolkitError):

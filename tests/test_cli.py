@@ -20,6 +20,7 @@ from scorepotential import (
     sample_csv,
     write_sample_csv,
 )
+from scorepotential import cli
 from scorepotential.cli import main
 from tests.conftest import (
     RATE4_DECILE_RESPONDERS,
@@ -174,6 +175,16 @@ def test_gen_is_deterministic_and_round_trips(tmp_path):
     code, stdout_text = run_cli(*args)
     assert code == 0
     assert stdout_text == out_a.read_text(encoding="utf-8")
+
+
+def test_gen_dash_output_writes_stdout_and_no_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    out = io.StringIO()
+    assert main(["gen", "--size", "1000", "--rate", "0.04", "--quality", "0.6",
+                 "--seed", "20100707", "-o", "-"], out=out) == 0
+    golden = Path(__file__).parent / "golden" / "gen_1000_rate4.csv"
+    assert out.getvalue().encode("utf-8") == golden.read_bytes()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_econ_text_and_json():
@@ -448,7 +459,7 @@ def test_a_row_after_a_multi_line_record_is_named_by_its_file_line(tmp_path, cap
     sample.write_text('id,score,response\n"a\nb",1.0,0\nc,x,0\n', encoding="utf-8")
     code, _ = run_cli("evaluate", str(sample))
     assert code == 21
-    assert "error: line 4: score 'x' is not a number" in capsys.readouterr().err
+    assert "error: model 'bad': line 4: score 'x' is not a number" in capsys.readouterr().err
 
 
 def test_a_byte_order_mark_before_the_header_is_named(tmp_path, capsys):
@@ -456,8 +467,56 @@ def test_a_byte_order_mark_before_the_header_is_named(tmp_path, capsys):
     sample.write_bytes(b"\xef\xbb\xbfid,score,response\na,1.0,0\nb,2.0,1\n")
     code, _ = run_cli("evaluate", str(sample))
     assert code == 21
-    assert ("error: line 1: header must be exactly 'id,score,response' "
+    assert ("error: model 'excel': line 1: header must be exactly 'id,score,response' "
             "(it starts with a UTF-8 byte-order mark)") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data, code", [
+    (b"id,score,response\na,1.0,0\nb,x,1\n", 21),
+    (b"id,score,response\na,1.0,0\nb,2.0,2\n", 23),
+    (b"id,score,response\na,1.0,0\na,2.0,1\n", 22),
+    (b"\xef\xbb\xbfid,score,response\na,1.0,0\nb,2.0,1\n", 21),
+    (b"id,score,response\n", 10),
+], ids=["score", "response", "duplicate_id", "byte_order_mark", "header_only"])
+def test_compare_names_the_model_whose_file_the_reader_refuses(tmp_path, capsys, rate4_csv,
+                                                               data, code):
+    bad = tmp_path / "X.csv"
+    bad.write_bytes(data)
+    assert run_cli("compare", str(rate4_csv), str(bad)) == (code, "")
+    assert capsys.readouterr().err.startswith("error: model 'X': ")
+
+
+def test_compare_reports_the_first_failing_file_in_argument_order(tmp_path, capsys, rate4_csv):
+    (tmp_path / "dup.csv").write_text("id,score,response\na,1.0,0\na,2.0,1\n", encoding="utf-8")
+    (tmp_path / "bad.csv").write_text("id,score,response\na,1.0,0\nb,x,1\n", encoding="utf-8")
+    paths = [str(tmp_path / name) for name in ("dup.csv", "bad.csv", "missing.csv")]
+    assert run_cli("compare", str(rate4_csv), *paths) == (22, "")
+    assert capsys.readouterr().err.startswith("error: model 'dup': duplicate record id 'a'")
+
+
+def test_evaluate_dash_of_a_malformed_pipe_names_stdin(monkeypatch, capsys):
+    stdin_of(monkeypatch, b"id,score,response\na,1.0,0\nb,x,1\n")
+    assert run_cli("evaluate", "-") == (21, "")
+    assert capsys.readouterr().err.startswith("error: model 'stdin': line 3: ")
+
+
+def test_compare_looks_up_each_per_file_call_in_the_cli_module(monkeypatch, rate4_csv,
+                                                               ten_name_csv):
+    """bench/tracing.py times these three names by patching them in cli, so each
+    must be looked up there at call time, once per file."""
+    names = ("parse_sample_csv", "rank_sample", "evaluate_model")
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in names:
+        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+    assert run_cli("compare", str(rate4_csv), str(ten_name_csv))[0] == 0
+    assert calls == dict.fromkeys(names, 2)
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
