@@ -3,91 +3,48 @@
 Exposes the benefit index (BenI), the exact rank-based score potential
 (PoP), bucket-level gains charts combining the two, campaign cost
 arithmetic, and a deterministic batch evaluation engine.
+
+Each public name is imported from its module on first use (PEP 562), so
+``import scorepotential`` loads no module of the package, and a command
+loads only the modules it runs.
 """
 
-from .economics import CampaignEconomics, SpreadingLoss, spreading_loss
-from .engine import (
-    DECILE_CUTOFFS,
-    BeniPoint,
-    ComparisonReport,
-    EvaluationContext,
-    ModelEvaluation,
-    compare_models,
-    evaluate_model,
-    generate_columns,
-    generate_sample,
-)
-from .errors import (
-    BadResponseValue,
-    CutoffTooSmall,
-    DegenerateClasses,
-    DuplicateId,
-    EmptyBatch,
-    EmptySample,
-    IndivisibleBuckets,
-    MalformedRow,
-    NoResponders,
-    NonFiniteScore,
-    TooFewPoints,
-    ToolkitError,
-    ZeroBaseRate,
-)
-from .figure import render_pop_vs_beni_figure
-from .gains import (
-    Bucket,
-    GainsChart,
-    build_gains_chart,
-)
-from .metrics import (
-    auc_crosscheck,
-    beni,
-    beni_at_cutoff,
-    beni_max,
-    perfect_rank_sum,
-    pop_denominator_exact,
-    pop_exact,
-    pop_numerator_exact,
-    selection_count,
-)
-from .report import (
-    economics_summary,
-    evaluation_from_csv,
-    evaluation_from_dict,
-    evaluation_to_csv,
-    evaluation_to_dict,
-    render_combined_chart,
-    render_comparison,
-    render_economics_text,
-)
-from .sample import (
-    CutOff,
-    RankedSample,
-    SampleColumns,
-    ScoredRecord,
-    TiePolicy,
-    rank_sample,
-)
-from .sample_csv import (
-    read_sample_columns,
-    write_sample_csv,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BadResponseValue", "BeniPoint", "Bucket", "CampaignEconomics",
-    "ComparisonReport", "CutOff", "CutoffTooSmall", "DECILE_CUTOFFS",
-    "DegenerateClasses", "DuplicateId", "EmptyBatch", "EmptySample",
-    "EvaluationContext", "GainsChart", "IndivisibleBuckets", "MalformedRow",
-    "ModelEvaluation", "NoResponders", "NonFiniteScore", "RankedSample",
-    "SampleColumns", "ScoredRecord", "SpreadingLoss", "TiePolicy", "TooFewPoints",
-    "ToolkitError", "ZeroBaseRate", "auc_crosscheck",
-    "beni", "beni_at_cutoff", "beni_max", "build_gains_chart", "compare_models",
-    "economics_summary", "evaluate_model", "evaluation_from_csv", "evaluation_from_dict",
-    "evaluation_to_csv", "evaluation_to_dict", "generate_columns", "generate_sample",
-    "perfect_rank_sum", "pop_denominator_exact", "pop_exact",
-    "pop_numerator_exact", "rank_sample", "read_sample_columns",
-    "render_combined_chart", "render_comparison", "render_economics_text",
-    "render_pop_vs_beni_figure", "selection_count", "spreading_loss",
-    "write_sample_csv",
-]
+# The public names, by the module that defines them.
+_NAMES = {
+    "economics": ("CampaignEconomics", "SpreadingLoss", "spreading_loss"),
+    "engine": ("BeniPoint", "ComparisonReport", "EvaluationContext", "ModelEvaluation",
+               "compare_models", "evaluate_model"),
+    "errors": ("BadResponseValue", "CutoffTooSmall", "DegenerateClasses", "DuplicateId",
+               "EmptyBatch", "EmptySample", "IndivisibleBuckets", "MalformedRow",
+               "NoResponders", "NonFiniteScore", "TooFewPoints", "ToolkitError",
+               "ZeroBaseRate"),
+    "figure": ("render_pop_vs_beni_figure",),
+    "gains": ("Bucket", "GainsChart", "build_gains_chart"),
+    "metrics": ("auc_crosscheck", "beni", "beni_at_cutoff", "beni_max", "perfect_rank_sum",
+                "pop_denominator_exact", "pop_exact", "pop_numerator_exact", "selection_count"),
+    "report": ("economics_summary", "evaluation_from_csv", "evaluation_from_dict",
+               "evaluation_to_csv", "evaluation_to_dict", "render_combined_chart",
+               "render_comparison", "render_economics_text"),
+    "sample": ("DECILE_CUTOFFS", "CutOff", "RankedSample", "SampleColumns", "ScoredRecord",
+               "TiePolicy", "generate_columns", "generate_sample", "rank_sample"),
+    "sample_csv": ("read_sample_columns", "write_sample_csv"),
+}
+_MODULE_OF = {name: module for module, names in _NAMES.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    """A public name, imported from its module and kept here, so that it is imported once."""
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

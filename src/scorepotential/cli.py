@@ -11,34 +11,39 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from importlib import import_module
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .economics import CampaignEconomics
-from .engine import (
-    EvaluationContext,
-    ModelEvaluation,
-    check_settings,
-    compare_models,
-    evaluate_model,
-)
-# gen draws columns, never per-row records; it keeps the name under which
-# bench/tracing.py times the CLI's generate layer.
-from .engine import generate_columns as generate_sample
 from .errors import ToolkitError, errors_naming
-from .figure import render_pop_vs_beni_figure
-from .report import (
-    economics_summary,
-    render_combined_chart,
-    render_comparison,
-    render_economics_text,
-    to_json,
-)
-from .sample import CutOff, TiePolicy, rank_sample
-# The parse stage reads columns, never per-row records, and gen writes them
-# to its target, never as one text; each keeps the name under which
-# bench/tracing.py times the CLI's parse or CSV-write layer.
+from .sample import DECILE_CUTOFFS, DEFAULT_BUCKET_COUNT, CutOff, TiePolicy, rank_sample
+# gen draws columns, never per-row records, and writes them to its target, never
+# as one text; the parse stage reads columns, never per-row records.  Each keeps
+# the name under which bench/tracing.py times the CLI's layer.
+from .sample import generate_columns as generate_sample
 from .sample_csv import read_sample_columns as parse_sample_csv
 from .sample_csv import write_sample_csv as records_to_csv_text
+
+if TYPE_CHECKING:
+    from .economics import CampaignEconomics
+    from .engine import ModelEvaluation
+
+# The calls a command imports on first use, by module.  A command looks each up
+# as an attribute of this module (_cli) at call time, where bench/tracing.py
+# replaces it to time it; the tracer's lookup imports it before any span opens.
+_LATE = {"evaluate_model": ".engine", "compare_models": ".engine",
+         "render_combined_chart": ".report", "render_comparison": ".report",
+         "render_pop_vs_beni_figure": ".figure"}
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    """A call of _LATE, imported from its module and kept here (PEP 562)."""
+    if name not in _LATE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(_LATE[name], __package__), name)
+    return value
+
 
 IO_ERROR_EXIT = 3
 
@@ -74,6 +79,8 @@ def _rational(text: str) -> Fraction:
 
 def _sample(text: str) -> tuple:
     """A sample argument as (model id, source): "-" is stdin's bytes, of model id stdin."""
+    if text == "-" and sys.stdin is None:  # started with its descriptor closed
+        raise argparse.ArgumentTypeError("standard input is closed")
     return ("stdin", sys.stdin.buffer) if text == "-" else (Path(text).stem, Path(text))
 
 
@@ -82,10 +89,10 @@ def _stdout_or_path(text: str) -> Path | None:
 
 
 def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--buckets", type=int, default=EvaluationContext.bucket_count,
+    parser.add_argument("--buckets", type=int, default=DEFAULT_BUCKET_COUNT,
                         help="number of gains-chart buckets (default %(default)s)")
     parser.add_argument("--cutoffs", type=_cutoff_list,
-                        default=EvaluationContext.cutoffs_of_interest,
+                        default=DECILE_CUTOFFS,
                         help="comma list of cut-offs, e.g. '10%%,40%%' or '0.1,0.4' "
                              "(default deciles)")
     parser.add_argument("--target", type=float, default=None,
@@ -160,11 +167,13 @@ def _economics_from_args(args, parser: argparse.ArgumentParser) -> CampaignEcono
         return None
     if not all(given):
         parser.error("--total-cost, --addresses and --responders go together")
+    from .economics import CampaignEconomics
     return _checked(parser, CampaignEconomics, args.total_cost, args.addresses, args.responders)
 
 
 def _evaluate_sample(args, model_id: str, source) -> ModelEvaluation:
     """Read, rank and evaluate one model's sample; every error it raises names the model."""
+    from .engine import EvaluationContext
     with errors_naming(model_id):
         ctx = EvaluationContext(
             sample=rank_sample(parse_sample_csv(source), args.ties),
@@ -172,7 +181,7 @@ def _evaluate_sample(args, model_id: str, source) -> ModelEvaluation:
             cutoffs_of_interest=args.cutoffs,
             stretch_target=args.target,
         )
-    return evaluate_model(ctx, model_id=model_id)  # which names its own errors
+    return _cli.evaluate_model(ctx, model_id=model_id)  # which names its own errors
 
 
 def _reference_attainment(evaluation: ModelEvaluation) -> float:
@@ -186,13 +195,15 @@ def _reference_attainment(evaluation: ModelEvaluation) -> float:
 
 
 def _cmd_evaluate(args, parser: argparse.ArgumentParser, out) -> int:
+    from .engine import check_settings
     _checked(parser, check_settings, args.buckets, args.cutoffs, args.target)
     economics = _economics_from_args(args, parser)
-    out.write(render_combined_chart(_evaluate_sample(args, *args.sample), args.fmt, economics))
+    out.write(_cli.render_combined_chart(_evaluate_sample(args, *args.sample), args.fmt, economics))
     return 0
 
 
 def _cmd_compare(args, parser: argparse.ArgumentParser, out) -> int:
+    from .engine import check_settings
     _checked(parser, check_settings, args.buckets, args.cutoffs, args.target)
     if sum(not isinstance(source, Path) for _, source in args.samples) > 1:
         parser.error("standard input (-) can be read only once")
@@ -200,11 +211,11 @@ def _cmd_compare(args, parser: argparse.ArgumentParser, out) -> int:
     if len(set(model_ids)) != len(model_ids):
         parser.error("sample files must have distinct names (model ids come from them)")
     evaluations = [_evaluate_sample(args, *sample) for sample in args.samples]
-    report = compare_models(evaluations)
+    report = _cli.compare_models(evaluations)
     if args.figure is not None:  # first, so that a figure that fails leaves stdout empty
         series = [(e.model_id, e.pop_exact, _reference_attainment(e)) for e in report.evaluations]
-        args.figure.write_text(render_pop_vs_beni_figure(series), encoding="utf-8")
-    out.write(render_comparison(report, args.fmt))
+        args.figure.write_text(_cli.render_pop_vs_beni_figure(series), encoding="utf-8")
+    out.write(_cli.render_comparison(report, args.fmt))
     return 0
 
 
@@ -215,6 +226,7 @@ def _cmd_gen(args, parser: argparse.ArgumentParser, out) -> int:
 
 
 def _cmd_econ(args, parser, out) -> int:
+    from .report import economics_summary, render_economics_text, to_json
     econ = _economics_from_args(args, parser)
     if args.fmt == "json":
         out.write(to_json(economics_summary(econ)))
@@ -227,6 +239,8 @@ def main(argv=None, out=None) -> int:
     args = build_parser().parse_args(argv)
     out = out if out is not None else sys.stdout
     try:
+        if out is None:  # started with its descriptor closed
+            raise OSError("standard output is closed")
         return args.run(args, args.command_parser, out)
     except ToolkitError as err:
         print(f"error: {err}", file=sys.stderr)

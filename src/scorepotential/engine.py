@@ -1,22 +1,16 @@
-"""Batch model evaluation, deterministic comparison ranking, synthetic samples."""
+"""Batch model evaluation and deterministic comparison ranking."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import isfinite
 from typing import Iterable, NamedTuple, Sequence
-
-import numpy as np
 
 from .errors import EmptyBatch, errors_naming
 from .gains import GainsChart, build_gains_chart
 from .metrics import (benefit_index, beni_at_cutoff, ceiling_and_attainment, pop_exact,
                       selection_count)
-from .rounding import round_half_up, to_fraction
-from .sample import CutOff, RankedSample, SampleColumns, ScoredRecord
-
-DECILE_CUTOFFS = tuple(CutOff(Fraction(i, 10)) for i in range(1, 11))
+from .sample import DECILE_CUTOFFS, DEFAULT_BUCKET_COUNT, CutOff, RankedSample
 
 
 class BeniPoint(NamedTuple):
@@ -38,7 +32,7 @@ class EvaluationContext:
     """Everything one evaluation needs besides the model id."""
 
     sample: RankedSample
-    bucket_count: int = 10
+    bucket_count: int = DEFAULT_BUCKET_COUNT
     cutoffs_of_interest: tuple[CutOff, ...] = DECILE_CUTOFFS
     stretch_target: float | None = None
 
@@ -165,47 +159,3 @@ def evaluate_model(ctx: EvaluationContext, model_id: str) -> ModelEvaluation:
 def compare_models(evals: Sequence[ModelEvaluation]) -> ComparisonReport:
     """Rank evaluations by exact score potential, descending (see ComparisonReport)."""
     return ComparisonReport(tuple(evals))
-
-
-def generate_columns(size: int, base_rate, quality: float, seed: int) -> SampleColumns:
-    """Deterministic synthetic sample with a tunable signal-to-noise mix, as columns.
-
-    Scores are uniform noise plus quality * response, so the two classes
-    overlap by exactly 1 - quality: quality 0 carries no information,
-    quality 1 puts every responder above every non-responder, and expected
-    score potential rises monotonically in between.  The realized responder
-    count is the half-up rounding of base_rate * size.  Ids are n000001,
-    n000002, ... (at least six digits).
-    """
-    if size < 1:
-        raise ValueError("size must be positive")
-    rate = to_fraction(base_rate)
-    if not 0 < rate <= 1:
-        raise ValueError("base rate must lie in (0, 1]")
-    if not 0 <= quality <= 1:
-        raise ValueError("quality must lie in [0, 1]")
-    if seed < 0:
-        raise ValueError("seed must be a non-negative integer")
-
-    k = round_half_up(rate * size)
-    rng = np.random.default_rng(seed)
-    responses = np.zeros(size, dtype=np.bool_)
-    responses[rng.choice(size, k, replace=False)] = True
-    scores = rng.random(size) + quality * responses
-    width = max(6, len(str(size)))
-    ids = []
-    # A slice at a time bounds the buffers; a row holds 'n', the digits and a comma.
-    for start in range(1, size + 1, 1 << 16):
-        numbers = np.arange(start, min(start + (1 << 16), size + 1))
-        cells = np.full((len(numbers), width + 2), ord("n"), np.uint8)
-        cells[:, -1] = ord(",")
-        for column in range(width, 0, -1):
-            numbers, cells[:, column] = np.divmod(numbers, 10)
-        cells[:, 1:-1] += ord("0")
-        ids += cells.tobytes().decode("ascii").split(",")[:-1]
-    return SampleColumns(ids, scores, responses)
-
-
-def generate_sample(size: int, base_rate, quality: float, seed: int) -> list[ScoredRecord]:
-    """The sample of generate_columns as records, in the same order."""
-    return generate_columns(size, base_rate, quality, seed).records()

@@ -20,16 +20,18 @@ from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii as json_string
 from math import isfinite
 from operator import attrgetter, itemgetter
-from typing import Callable, get_args, get_origin, get_type_hints
+from typing import TYPE_CHECKING, Callable, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .economics import CampaignEconomics
 from .engine import BeniPoint, ComparisonReport, ModelEvaluation
 from .gains import Bucket, GainsChart, _row_cutoffs
 from .rounding import fraction_cell, round_half_up
 from .sample import CutOff
 from .sample_csv import csv_table
+
+if TYPE_CHECKING:  # imported by the economics functions, which alone use it
+    from .economics import CampaignEconomics
 
 CHART_HEADERS = [
     "Bucket", "#Resp", "P'↑max", "P'↑min", "P'↑avg", "PoP'marg", "PoP'cum",
@@ -376,6 +378,7 @@ def _economics_rows(economics: CampaignEconomics) -> list[list[str]]:
 
 def _is_economics(rows: list[list[str]]) -> bool:
     """Whether rows are the economics section written for the figures of their first three."""
+    from .economics import CampaignEconomics
     try:
         (_, total), (_, addresses), (_, responders), *_ = rows
         return rows == _economics_rows(
@@ -473,6 +476,7 @@ def render_comparison(report: ComparisonReport, fmt: str = "text") -> str:
 
 def economics_summary(econ: CampaignEconomics) -> dict:
     """All cost figures for one campaign; exact rationals as strings."""
+    from .economics import CampaignEconomics
     return _codec(CampaignEconomics).dump(econ)
 
 

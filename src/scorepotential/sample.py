@@ -1,4 +1,5 @@
-"""Scored records, columnar score-ascending ranking with tie policies, and cut-off fractions."""
+"""Scored records, columnar score-ascending ranking with tie policies, cut-off fractions
+and deterministic synthetic samples."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from typing import Iterable, MutableSequence, Sequence
 import numpy as np
 
 from .errors import EmptySample, NonFiniteScore
-from .rounding import to_fraction
+from .rounding import round_half_up, to_fraction
 
 
 class TiePolicy(str, Enum):
@@ -71,6 +72,11 @@ class CutOff:
 
     def __str__(self) -> str:
         return f"{float(self.fraction) * 100:g}%"
+
+
+# The settings of an evaluation that names none: ten buckets, and the ten decile cut-offs.
+DEFAULT_BUCKET_COUNT = 10
+DECILE_CUTOFFS = tuple(CutOff(Fraction(i, 10)) for i in range(1, 11))
 
 
 # A tie-repair key is below (2·groups + 2)·n ≤ (n + 2)·n: int64 under this bound, else Python int.
@@ -204,3 +210,47 @@ def rank_sample(sample: SampleColumns | Iterable[ScoredRecord],
     """Rank columns, or records taken to columns first, by ascending score (RankedSample)."""
     columns = sample if isinstance(sample, SampleColumns) else SampleColumns.from_records(sample)
     return RankedSample(columns, tie_policy)
+
+
+def generate_columns(size: int, base_rate, quality: float, seed: int) -> SampleColumns:
+    """Deterministic synthetic sample with a tunable signal-to-noise mix, as columns.
+
+    Scores are uniform noise plus quality * response, so the two classes
+    overlap by exactly 1 - quality: quality 0 carries no information,
+    quality 1 puts every responder above every non-responder, and expected
+    score potential rises monotonically in between.  The realized responder
+    count is the half-up rounding of base_rate * size.  Ids are n000001,
+    n000002, ... (at least six digits).
+    """
+    if size < 1:
+        raise ValueError("size must be positive")
+    rate = to_fraction(base_rate)
+    if not 0 < rate <= 1:
+        raise ValueError("base rate must lie in (0, 1]")
+    if not 0 <= quality <= 1:
+        raise ValueError("quality must lie in [0, 1]")
+    if seed < 0:
+        raise ValueError("seed must be a non-negative integer")
+
+    k = round_half_up(rate * size)
+    rng = np.random.default_rng(seed)
+    responses = np.zeros(size, dtype=np.bool_)
+    responses[rng.choice(size, k, replace=False)] = True
+    scores = rng.random(size) + quality * responses
+    width = max(6, len(str(size)))
+    ids = []
+    # A slice at a time bounds the buffers; a row holds 'n', the digits and a comma.
+    for start in range(1, size + 1, 1 << 16):
+        numbers = np.arange(start, min(start + (1 << 16), size + 1))
+        cells = np.full((len(numbers), width + 2), ord("n"), np.uint8)
+        cells[:, -1] = ord(",")
+        for column in range(width, 0, -1):
+            numbers, cells[:, column] = np.divmod(numbers, 10)
+        cells[:, 1:-1] += ord("0")
+        ids += cells.tobytes().decode("ascii").split(",")[:-1]
+    return SampleColumns(ids, scores, responses)
+
+
+def generate_sample(size: int, base_rate, quality: float, seed: int) -> list[ScoredRecord]:
+    """The sample of generate_columns as records, in the same order."""
+    return generate_columns(size, base_rate, quality, seed).records()

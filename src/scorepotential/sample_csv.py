@@ -231,20 +231,34 @@ def _read_strict(head: bytes, handle, ids, seen, scores, responses, taken: int) 
 def csv_table(columns: list) -> str:
     """The lines csv.writer writes for the rows the columns zip into (None an empty
     cell), by one % of a row template: str is repr for a float, as in csv.writer.
-    A cell with a character csv.writer quotes makes the commas or newlines miscount,
-    and csv.writer then writes the rows."""
+    Only cells that could hold what csv.writer quotes are tested: none of a number
+    array column, the joined cells of a column of str, and the text of a table with
+    any other column, whose commas or newlines then miscount.  A table holding such
+    a cell, or of one column, is written by csv.writer."""
     rows, width = len(columns[0]), len(columns)
     cells = [None] * (rows * width)
+    quoted, other = width == 1, False  # a one-column row of an empty cell is quoted
     for at, column in enumerate(columns):
+        if isinstance(column, np.ndarray) and column.dtype.kind in "biuf":  # bool, int, float
+            column = column.tolist()
+        else:
+            try:
+                text = "".join(column)
+            except TypeError:  # a cell that is not a str: None, a number or another object
+                other = True
+            else:
+                quoted = quoted or any(char in text for char in ',"\r\n')
         cells[at::width] = column  # a cell is an argument of the format, never part of it
     template = (",".join(["%s"] * width) + "\n") * rows
-    if "None" in (text := template % tuple(cells)):
-        text = template % tuple("" if cell is None else cell for cell in cells)
-    if width > 1 and text.count(",") == rows * (width - 1) and text.count("\n") == rows and not (
-            '"' in text or "\r" in text):  # a one-column row of an empty cell is quoted
-        return text
+    if not quoted:
+        text = template % tuple(cells)
+        if other and "None" in text:
+            text = template % tuple("" if cell is None else cell for cell in cells)
+        if not other or text.count(",") == rows * (width - 1) and text.count("\n") == rows and (
+                not ('"' in text or "\r" in text)):
+            return text
     out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows(zip(*columns))
+    csv.writer(out, lineterminator="\n").writerows(zip(*[iter(cells)] * width))  # row by row
     return out.getvalue()
 
 
@@ -257,5 +271,5 @@ def write_sample_csv(sample: SampleColumns, target) -> None:
         handle.write(_HEADER_LINE)
         for start in range(0, len(sample), SLICE_ROWS):
             rows = slice(start, start + SLICE_ROWS)
-            handle.write(csv_table([sample.ids[rows], sample.scores[rows].tolist(),
-                                    sample.responses[rows].view(np.uint8).tolist()]))
+            handle.write(csv_table([sample.ids[rows], sample.scores[rows],
+                                    sample.responses[rows].view(np.uint8)]))

@@ -379,6 +379,33 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert run("evaluate", str(malformed)).returncode == 21
 
 
+def run_with_closed(redirect: str, *argv: str) -> subprocess.CompletedProcess:
+    """python -m scorepotential argv, started by sh with a standard stream closed by
+    redirect (<&- or >&-)."""
+    env = {**os.environ, "PYTHONPATH": str(Path(scorepotential.__file__).resolve().parents[1])}
+    return subprocess.run(["sh", "-c", f'exec "$0" -m scorepotential "$@" {redirect}',
+                           sys.executable, *argv], stdin=subprocess.DEVNULL,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=env,
+                          timeout=60)
+
+
+def test_dash_on_a_closed_stdin_is_a_usage_error():
+    proc = run_with_closed("<&-", "evaluate", "-")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.endswith("error: argument sample: standard input is closed\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["econ", "--total-cost", "1", "--addresses", "1", "--responders", "1"],
+    ["gen", "--size", "10", "--rate", "0.5", "--quality", "0.5", "--seed", "1"],
+    ["evaluate", str(Path(__file__).parent / "golden" / "gen_1000_rate4.csv")],
+    ["compare", str(Path(__file__).parent / "golden" / "gen_1000_rate4.csv")],
+], ids=lambda argv: argv[0])
+def test_a_closed_stdout_is_an_io_error(argv):
+    proc = run_with_closed(">&-", *argv)
+    assert (proc.returncode, proc.stderr) == (3, "i/o error: standard output is closed\n")
+
+
 def stdin_of(monkeypatch, data: bytes) -> io.BytesIO:
     """Make data the process's standard input; return the byte stream beneath it."""
     stream = io.BytesIO(data)

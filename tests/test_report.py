@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import NamedTuple
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -836,6 +837,19 @@ def csv_writer_text(rows) -> str:
 @given(columns=csv_columns())
 def test_csv_table_writes_the_bytes_of_csv_writer(columns):
     assert csv_table(columns) == csv_writer_text(zip(*columns))
+
+
+@given(columns=csv_columns(), data=st.data())
+def test_a_number_array_column_writes_the_bytes_of_its_list(columns, data):
+    """A bool, int or float array column (as the sample writer passes) is its .tolist()."""
+    kind = data.draw(st.sampled_from([np.bool_, np.uint8, np.int64, np.float64]))
+    array = np.array(data.draw(st.lists(st.integers(0, 1) if kind in (np.bool_, np.uint8) else
+                                        st.integers(-2**63, 2**63 - 1) if kind is np.int64 else
+                                        st.floats(), min_size=len(columns[0]),
+                                        max_size=len(columns[0]))), kind)
+    at = data.draw(st.integers(0, len(columns)))
+    assert csv_table([*columns[:at], array, *columns[at:]]) == csv_writer_text(
+        zip(*columns[:at], array.tolist(), *columns[at:]))
 
 
 @pytest.mark.parametrize("columns, quoted", [
