@@ -38,12 +38,17 @@ _MODULE_OF = {name: module for module, names in _NAMES.items() for name in names
 __all__ = sorted(_MODULE_OF)
 
 
+def _bind(namespace: dict, name: str, public: str | None):
+    """Import public from its defining module as namespace[name]: a module's __getattr__."""
+    if public not in _MODULE_OF:
+        raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+    value = namespace[name] = getattr(import_module(f".{_MODULE_OF[public]}", __name__), public)
+    return value
+
+
 def __getattr__(name: str):
     """A public name, imported from its module and kept here, so that it is imported once."""
-    if name not in _MODULE_OF:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
-    return value
+    return _bind(globals(), name, name)
 
 
 def __dir__() -> list[str]:

@@ -11,38 +11,32 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from importlib import import_module
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import ToolkitError, errors_naming
-from .sample import DECILE_CUTOFFS, DEFAULT_BUCKET_COUNT, CutOff, TiePolicy, rank_sample
-# gen draws columns, never per-row records, and writes them to its target, never
-# as one text; the parse stage reads columns, never per-row records.  Each keeps
-# the name under which bench/tracing.py times the CLI's layer.
-from .sample import generate_columns as generate_sample
-from .sample_csv import read_sample_columns as parse_sample_csv
-from .sample_csv import write_sample_csv as records_to_csv_text
+from .sample import DECILE_CUTOFFS, DEFAULT_BUCKET_COUNT, CutOff, TiePolicy
 
 if TYPE_CHECKING:
     from .economics import CampaignEconomics
     from .engine import ModelEvaluation
 
-# The calls a command imports on first use, by module.  A command looks each up
-# as an attribute of this module (_cli) at call time, where bench/tracing.py
-# replaces it to time it; the tracer's lookup imports it before any span opens.
-_LATE = {"evaluate_model": ".engine", "compare_models": ".engine",
-         "render_combined_chart": ".report", "render_comparison": ".report",
-         "render_pop_vs_beni_figure": ".figure"}
+# The calls bench/tracing.py times, by span name, to the public names they stand for.
+# A command looks each up on this module (_cli) at call time, where the tracer
+# replaces it; the tracer's lookup binds it before any span opens.
+_CALLS = {"parse_sample_csv": "read_sample_columns", "rank_sample": "rank_sample",
+          "evaluate_model": "evaluate_model", "compare_models": "compare_models",
+          "generate_sample": "generate_columns", "records_to_csv_text": "write_sample_csv",
+          "render_combined_chart": "render_combined_chart",
+          "render_comparison": "render_comparison",
+          "render_pop_vs_beni_figure": "render_pop_vs_beni_figure"}
 _cli = sys.modules[__name__]
 
 
 def __getattr__(name: str):
-    """A call of _LATE, imported from its module and kept here (PEP 562)."""
-    if name not in _LATE:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(import_module(_LATE[name], __package__), name)
-    return value
+    """A call of _CALLS, imported on first use and kept here (PEP 562)."""
+    from . import _bind
+    return _bind(globals(), name, _CALLS.get(name))
 
 
 IO_ERROR_EXIT = 3
@@ -176,7 +170,7 @@ def _evaluate_sample(args, model_id: str, source) -> ModelEvaluation:
     from .engine import EvaluationContext
     with errors_naming(model_id):
         ctx = EvaluationContext(
-            sample=rank_sample(parse_sample_csv(source), args.ties),
+            sample=_cli.rank_sample(_cli.parse_sample_csv(source), args.ties),
             bucket_count=args.buckets,
             cutoffs_of_interest=args.cutoffs,
             stretch_target=args.target,
@@ -220,8 +214,8 @@ def _cmd_compare(args, parser: argparse.ArgumentParser, out) -> int:
 
 
 def _cmd_gen(args, parser: argparse.ArgumentParser, out) -> int:
-    columns = _checked(parser, generate_sample, args.size, args.rate, args.quality, args.seed)
-    records_to_csv_text(columns, out if args.output is None else args.output)
+    columns = _checked(parser, _cli.generate_sample, args.size, args.rate, args.quality, args.seed)
+    _cli.records_to_csv_text(columns, out if args.output is None else args.output)
     return 0
 
 

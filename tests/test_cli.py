@@ -20,7 +20,6 @@ from scorepotential import (
     sample_csv,
     write_sample_csv,
 )
-from scorepotential import cli
 from scorepotential.cli import main
 from tests.conftest import (
     RATE4_DECILE_RESPONDERS,
@@ -525,25 +524,6 @@ def test_evaluate_dash_of_a_malformed_pipe_names_stdin(monkeypatch, capsys):
     stdin_of(monkeypatch, b"id,score,response\na,1.0,0\nb,x,1\n")
     assert run_cli("evaluate", "-") == (21, "")
     assert capsys.readouterr().err.startswith("error: model 'stdin': line 3: ")
-
-
-def test_compare_looks_up_each_per_file_call_in_the_cli_module(monkeypatch, rate4_csv,
-                                                               ten_name_csv):
-    """bench/tracing.py times these three names by patching them in cli, so each
-    must be looked up there at call time, once per file."""
-    names = ("parse_sample_csv", "rank_sample", "evaluate_model")
-    calls = dict.fromkeys(names, 0)
-
-    def counting(name, fn):
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return counted
-
-    for name in names:
-        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
-    assert run_cli("compare", str(rate4_csv), str(ten_name_csv))[0] == 0
-    assert calls == dict.fromkeys(names, 2)
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")

@@ -139,22 +139,37 @@ def test_a_name_set_on_the_package_is_used_until_restored():
           "assert rank_sample is original is s.sample.rank_sample")
 
 
-def test_the_cli_runs_the_late_calls_set_on_it(tmp_path, two_samples):
-    """Each late call is looked up in cli when a command runs it, so a replacement
-    set there first (as the benchmark's tracer sets one) is the one that runs."""
-    names = ["compare_models", "evaluate_model", "render_combined_chart", "render_comparison",
-             "render_pop_vs_beni_figure"]
+def test_the_cli_binds_each_traced_call_on_first_use_and_runs_the_one_set_on_it(
+        tmp_path, two_samples):
+    """Importing cli binds none of the calls bench/tracing.py times; each is looked
+    up in cli when a command runs it, so a replacement set there first (as the
+    tracer sets one) is the one that runs, once per file for the per-file calls."""
+    runs = [  # (argv, the calls it runs and how often)
+        (["evaluate", two_samples[0]],
+         {"parse_sample_csv": 1, "rank_sample": 1, "evaluate_model": 1,
+          "render_combined_chart": 1}),
+        (["compare", *two_samples, "--figure", str(tmp_path / "f.svg")],
+         {"parse_sample_csv": 2, "rank_sample": 2, "evaluate_model": 2, "compare_models": 1,
+          "render_pop_vs_beni_figure": 1, "render_comparison": 1}),
+        (["gen", "--size", "1000", "--rate", "0.04", "--quality", "0.6", "--seed", "1",
+          "-o", str(tmp_path / "gen.csv")],
+         {"generate_sample": 1, "records_to_csv_text": 1}),
+    ]
     fresh("import io, sys\n"
+          "from collections import Counter\n"
           "import scorepotential.cli as cli\n"
-          "assert 'scorepotential.engine' not in sys.modules\n"
-          "calls = []\n"
-          f"originals = {{name: getattr(cli, name) for name in {names!r}}}\n"
+          "assert not set(cli._CALLS) & set(vars(cli)), sorted(set(cli._CALLS) & set(vars(cli)))\n"
+          "assert not {'scorepotential.engine', 'scorepotential.sample_csv'} & set(sys.modules)\n"
+          "calls = Counter()\n"
+          "originals = {name: getattr(cli, name) for name in cli._CALLS}\n"
+          "import scorepotential as s\n"
+          "assert all(fn is getattr(s, cli._CALLS[name]) for name, fn in originals.items())\n"
           "for name, fn in originals.items():\n"
-          "    setattr(cli, name, lambda *a, name=name, fn=fn, **k: calls.append(name) or fn(*a, **k))\n"
-          f"assert cli.main(['evaluate', {two_samples[0]!r}], out=io.StringIO()) == 0\n"
-          f"assert cli.main(['compare', *{two_samples!r}, '--figure', {str(tmp_path / 'f.svg')!r}],\n"
-          "                out=io.StringIO()) == 0\n"
-          "assert sorted(set(calls)) == sorted(originals) and len(calls) == 7, calls\n"
+          "    setattr(cli, name, lambda *a, name=name, fn=fn, **k: calls.update([name]) or fn(*a, **k))\n"
+          f"for argv, expected in {runs!r}:\n"
+          "    calls.clear()\n"
+          "    assert cli.main(argv, out=io.StringIO()) == 0\n"
+          "    assert calls == expected, (argv[0], calls)\n"
           "for name, fn in originals.items():\n"
           "    setattr(cli, name, fn)\n"
           "    assert getattr(cli, name) is fn")
