@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import os
@@ -117,6 +118,26 @@ def test_compare_ranks_and_flags_below_target(tmp_path, rate4_csv):
     data = json.loads(out)
     assert data["ranking"] == ["strong", "rate4"]
     assert data["below_target"] == ["rate4"]
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_byte_identical_samples_share_a_rank_in_model_id_order(tmp_path, rate4_csv, fmt):
+    """Models of equal exact and chart PoP share a competition rank (1, 2, 2, 4);
+    their rows stay in model-id order, whatever the order of the files."""
+    paths = {name: tmp_path / f"{name}.csv" for name in ("twin_b", "strong", "weak", "twin_a")}
+    for name, responders in (("strong", [4, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
+                             ("weak", [0, 0, 0, 0, 0, 0, 0, 0, 0, 4])):
+        write_sample_csv(SampleColumns.from_records(bucketed_records(responders, 10)),
+                         paths[name])
+    for name in ("twin_b", "twin_a"):
+        paths[name].write_bytes(rate4_csv.read_bytes())
+    code, out = run_cli("compare", *map(str, paths.values()), "--format", fmt)
+    assert code == 0
+    if fmt == "csv":
+        rows = [(int(row["rank"]), row["model_id"]) for row in csv.DictReader(io.StringIO(out))]
+    else:  # the rows of the table, under its header line
+        rows = [(int(rank), model) for rank, model, *_ in map(str.split, out.splitlines()[3:7])]
+    assert rows == [(1, "strong"), (2, "twin_a"), (2, "twin_b"), (4, "weak")]
 
 
 # The second case profiles only a cut-off below the 4 % response rate, so the

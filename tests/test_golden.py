@@ -4,8 +4,9 @@ Round-trip tests cannot see a change of bytes that parses back to an equal
 value (say, degeneracy flags written unsorted); these tests can.  The files
 under tests/golden/ are the documents the CLI writes for the worked samples,
 for a tied sample of 200 names charted in 50 buckets, for the committed
-1 000-name generated sample (charted in 10 and in 100 buckets), and the
-figure that ``compare --figure`` draws for two generated samples.
+1 000-name generated sample (charted in 10 and in 100 buckets), for a
+``compare`` of that sample under two names, whose tie shares a rank, and
+the figure that ``compare --figure`` draws for two generated samples.
 Regenerate them with ``python -m tests.test_golden`` from the repository
 root, and only for an intended change of output.
 """
@@ -98,6 +99,10 @@ CASES = {
     # Every name responds; ids keep their minimum width of six digits.
     "gen_5_all_responders.csv":
         ["gen", "--size", "5", "--rate", "1", "--quality", "1", "--seed", "3"],
+    # Two byte-identical samples under two names between a strong and a weak
+    # model: the pair shares rank 2, in model-id order, and the weak one ranks 4th.
+    **{f"compare_tied_twins.{ext}": ["compare", "low", "twin_b", "high", "twin_a", *fmt]
+       for ext, fmt in (("csv", ["--format", "csv"]), ("txt", []))},
     # The figure file, not stdout: a weak and a strong generated model.
     "compare_gen_figure.svg": ["compare", "low", "high", "--figure", "figure.svg"],
 }
@@ -120,8 +125,9 @@ def samples() -> dict[str, list[ScoredRecord]]:
         "all_responders": all_responders,
         "low": generate_columns(1000, Fraction(1, 25), 0.3, 1).records(),
         "high": generate_columns(1000, Fraction(1, 25), 0.8, 2).records(),
-        # The sample that gen_1000_rate4.csv holds.
-        "gen_1000_rate4": generate_columns(1000, Fraction(1, 25), 0.6, 20100707).records(),
+        # The sample that gen_1000_rate4.csv holds, and the same bytes under two more names.
+        **dict.fromkeys(["gen_1000_rate4", "twin_a", "twin_b"],
+                        generate_columns(1000, Fraction(1, 25), 0.6, 20100707).records()),
     }
 
 
