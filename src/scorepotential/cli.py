@@ -21,15 +21,14 @@ if TYPE_CHECKING:
     from .economics import CampaignEconomics
     from .engine import ModelEvaluation
 
-# The calls bench/tracing.py times, by span name, to the public names they stand for.
-# A command looks each up on this module (_cli) at call time, where the tracer
-# replaces it; the tracer's lookup binds it before any span opens.
-_CALLS = {"parse_sample_csv": "read_sample_columns", "rank_sample": "rank_sample",
-          "evaluate_model": "evaluate_model", "compare_models": "compare_models",
-          "generate_sample": "generate_columns", "records_to_csv_text": "write_sample_csv",
-          "render_combined_chart": "render_combined_chart",
-          "render_comparison": "render_comparison",
-          "render_pop_vs_beni_figure": "render_pop_vs_beni_figure"}
+# The calls bench/tracing.py times, by span name, to the public names they stand
+# for (the last six for themselves).  A command looks each up on this module (_cli)
+# at call time, where the tracer replaces it; the tracer's lookup binds it before
+# any span opens.
+_CALLS = {"parse_sample_csv": "read_sample_columns", "generate_sample": "generate_columns",
+          "records_to_csv_text": "write_sample_csv", **{name: name for name in (
+              "rank_sample", "evaluate_model", "compare_models", "render_combined_chart",
+              "render_comparison", "render_pop_vs_beni_figure")}}
 _cli = sys.modules[__name__]
 
 
