@@ -19,7 +19,7 @@ from functools import cache, partial
 from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii as json_string
 from math import isfinite
-from operator import attrgetter, itemgetter
+from operator import attrgetter, itemgetter, methodcaller
 from typing import TYPE_CHECKING, Callable, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -126,7 +126,8 @@ def _flags(v: list) -> frozenset[str]:  # as written: non-empty strings, sorted,
 
 
 # kinds: each exact JSON type that load takes, with its name for an error;
-# dump/load: a value to and from JSON, None where the value is its own JSON;
+# dump: a value to JSON; load: a column (a list) of JSON values of those kinds
+# to the list of their values; each None where the value is its own JSON;
 # cell: a value, or a tuple's item, to a CSV cell, None where csv.writer's own
 # str (repr for a float, "" for None) is the cell; parse: a CSV cell to a value
 # (None: the value fills a section of its own).
@@ -150,9 +151,11 @@ _LEAF_CODECS = {
     float: _Codec({float: "a float"}, parse=float),
     bool: _Codec({bool: "true, false"}, cell=lambda v: "true" if v else "false",
                  parse=lambda s: _BOOLS[_expect(s, s in _BOOLS, "true, false or empty")]),
-    Fraction: _Codec({str: "a p/q string"}, str, fraction_cell, parse=fraction_cell),
-    frozenset[str]: _Codec({list: "a list of strings"}, sorted, _flags, lambda v: ";".join(
-                               sorted(v)), lambda s: _flags(s.split(";") if s else [])),
+    Fraction: _Codec({str: "a p/q string"}, str, lambda c: list(map(fraction_cell, c)),
+                     parse=fraction_cell),
+    frozenset[str]: _Codec({list: "a list of strings"}, sorted, lambda c: list(map(_flags, c)),
+                           lambda v: ";".join(sorted(v)),
+                           lambda s: _flags(s.split(";") if s else [])),
 }
 
 
@@ -171,46 +174,35 @@ def _codec(hint) -> _Codec:
     args = get_args(hint)
     if type(None) in args:  # X | None: X's codec, where None is null or an empty CSV cell
         item = _codec(next(a for a in args if a is not type(None)))
-        dump, load, cell = (f and partial(_or_none, f) for f in (item.dump, item.load, item.cell))
-        return _Codec(item.kinds | {type(None): "null"}, dump, load, cell,
+        dump, cell = (f and partial(_or_none, f) for f in (item.dump, item.cell))
+        def load(column: list) -> list:  # X's load of the values other than None
+            loaded = iter(item.load([v for v in column if v is not None]))
+            return [None if v is None else next(loaded) for v in column]
+        return _Codec(item.kinds | {type(None): "null"}, dump, item.load and load, cell,
                       item.parse and (lambda s: None if s == "" else item.parse(s)))
     if get_origin(hint) is tuple:  # tuple[X, ...]: a JSON list; in CSV, a table column
         item = _codec(args[0])
-
-        def load_items(values: list) -> tuple:
-            if not item.kinds.keys() >= set(map(type, values)):
-                return tuple(_take(item, v) for v in values)  # refuses the first of a wrong kind
-            return tuple(values) if item.load is None else tuple(map(item.load, values))
-
-        if args[0] is Fraction:  # the row cut-offs of a chart: one column of text, as cached
-            return _Codec({list: "a list"}, _fraction_text, load_items, _fraction_text, item.parse)
-        return _Codec({list: "a list"}, list if item.dump is None else lambda v: list(map(
-            item.dump, v)), load_items, item.cell and partial(map, item.cell), item.parse)
+        text = _fraction_text if args[0] is Fraction else None  # a chart's row cut-offs, as cached
+        return _Codec({list: "a list"}, text or (list if item.dump is None else lambda v: list(map(
+            item.dump, v))), lambda lists: [tuple(_take(item, v)) for v in lists],  # a column each
+            text or item.cell and partial(map, item.cell), item.parse)
     if get_origin(hint) is dict:  # dict[K, V]: a list of V objects, each with K's one field
         ((key_field, _, key),) = _fields(args[0])
         name, value = FIELD_COLUMNS.get(key_field, key_field), _codec(args[1])
-
-        def load_entry(entry: dict) -> tuple:
-            entry = dict(_expect(entry, type(entry) is dict, "an object"))
-            if name not in entry:
-                raise ValueError(f"lacks the key {name!r}")
-            return args[0](_take(key, entry.pop(name))), _take(value, entry)
-
-        return _Codec({list: "a list"},
-                      lambda m: [{name: key.dump(getattr(k, key_field)), **value.dump(v)}
-                                 for k, v in m.items()],
-                      lambda entries: _once_each(list(map(load_entry, entries)), name))
-    # A dataclass or NamedTuple: a JSON object of its fields, of which only
-    # those with a dump or load are converted; a field of its first kind needs
-    # no check.  vars(o) would copy faster, but it gives the object a __dict__
-    # of its own, and the evaluation, read again after its dump, then reads
-    # and collects slower.
+        def load_entries(entries: list) -> dict:  # from copies, which give up their keys
+            entries = [dict(e) for e in _take(value._replace(load=None), entries)]
+            keys = map(args[0], _take(key, _values(entries, methodcaller("pop", name))))
+            return _once_each(list(zip(keys, _take(value, entries))), name)
+        return _Codec({list: "a list"}, lambda m: [
+            {name: key.dump(getattr(k, key_field)), **value.dump(v)} for k, v in m.items()],
+            lambda profiles: list(map(load_entries, profiles)))
+    # A dataclass or NamedTuple: a JSON object of its fields, of which only those with a
+    # dump are converted (vars(o) copies faster, but gives the object a __dict__ that slows
+    # its reads).  Objects load as the CSV reader builds them: a column per field, one map.
     names, _, codecs = zip(*_fields(hint))
-    read, get = attrgetter(*names), itemgetter(*names)
+    read, getters = attrgetter(*names), list(map(itemgetter, names))
     dumped = [(i, c.dump) for i, c in enumerate(codecs) if c.dump is not None]
-    usual = tuple(next(iter(c.kinds)) for c in codecs)
-    loaded = [(i, c.load) for i, c in enumerate(codecs) if c.load is not None]
-    taken = [(i, partial(_take, c)) for i, c in enumerate(codecs)]
+    takes = [partial(_take, c) for c in codecs]
 
     def dump(o) -> dict:
         values = read(o)
@@ -220,16 +212,12 @@ def _codec(hint) -> _Codec:
                 values[i] = convert(values[i])
         return dict(zip(names, values))
 
-    def load(doc: dict):
-        try:
-            values = list(get(doc))
-        except KeyError as err:
-            raise ValueError(f"lacks the key {err}") from None
-        if len(doc) != len(names) and (unknown := doc.keys() - names):
+    def load(docs: list) -> list:  # the keys of every object, then its values
+        columns = [_values(docs, get) for get in getters]
+        if not set(map(len, docs)) <= {len(names)}:  # each holds its fields, so another key
+            unknown = next(doc.keys() - names for doc in docs if len(doc) != len(names))
             raise ValueError(f"unknown key {min(unknown)!r}")
-        for i, convert in loaded if tuple(map(type, values)) == usual else taken:
-            values[i] = _named(names[i], convert, values[i])
-        return hint(*values)
+        return list(map(hint, *map(_named, names, takes, columns)))
 
     return _Codec({dict: "an object"}, dump, load)
 
@@ -251,10 +239,19 @@ def _named(name: str, convert: Callable, value):  # errors named by path: "gains
         raise ValueError(f"{name}: {err}") from None
 
 
-def _take(codec: _Codec, value):
-    """value loaded by the codec, which takes it only as one of its JSON kinds."""
-    _expect(value, type(value) in codec.kinds, " or ".join(codec.kinds.values()))
-    return value if codec.load is None else codec.load(value)
+def _take(codec: _Codec, column: list) -> list:
+    """The column loaded by the codec, whose kinds it checks once, naming the first other."""
+    for value in () if codec.kinds.keys() >= set(map(type, column)) else column:
+        _expect(value, type(value) in codec.kinds, " or ".join(codec.kinds.values()))
+    return column if codec.load is None else codec.load(column)
+
+
+def _values(docs: list[dict], get: Callable) -> list:
+    """get of each object, where a KeyError is the key an object lacks."""
+    try:
+        return list(map(get, docs))
+    except KeyError as err:
+        raise ValueError(f"lacks the key {err}") from None
 
 
 def _once_each(pairs: list, name: str) -> dict:
@@ -318,7 +315,7 @@ def evaluation_to_dict(evaluation: ModelEvaluation) -> dict:
 
 
 def evaluation_from_dict(data: dict) -> ModelEvaluation:
-    return _take(_codec(ModelEvaluation), data)
+    return _take(_codec(ModelEvaluation), [data])[0]
 
 
 # How json.dumps spells each JSON leaf: NaN and +-Infinity, never nan or inf.
