@@ -315,7 +315,14 @@ def evaluation_to_dict(evaluation: ModelEvaluation) -> dict:
 
 
 def evaluation_from_dict(data: dict) -> ModelEvaluation:
-    return _take(_codec(ModelEvaluation), [data])[0]
+    """The evaluation of its JSON document, or of the document evaluate writes with the
+    economics flags, whose economics must be those its first three figures give."""
+    economic = type(data) is dict and data.keys() == {"economics", "evaluation"}
+    evaluation = _take(_codec(ModelEvaluation), [data["evaluation"] if economic else data])[0]
+    if economic and not _is_economics_summary(data["economics"]):
+        raise ValueError("economics: expected the economics summary of its total_cost, "
+                         "addresses and responders")
+    return evaluation
 
 
 # How json.dumps spells each JSON leaf: NaN and +-Infinity, never nan or inf.
@@ -381,6 +388,16 @@ def _is_economics(rows: list[list[str]]) -> bool:
         return rows == _economics_rows(
             CampaignEconomics(fraction_cell(total), int(addresses), int(responders)))
     except ValueError:
+        return False
+
+
+def _is_economics_summary(summary) -> bool:
+    """Whether summary is, as JSON text, the economics summary of its first three figures."""
+    from .economics import CampaignEconomics
+    try:
+        given = [_take(c, [summary[name]])[0] for name, _, c in _fields(CampaignEconomics)[:3]]
+        return to_json(summary) == to_json(economics_summary(CampaignEconomics(*given)))
+    except (KeyError, TypeError, ValueError):
         return False
 
 

@@ -161,6 +161,41 @@ def test_csv_reader_refuses_any_other_trailing_section(rate4_evaluation, number,
         evaluation_from_csv(edited)
 
 
+ECONOMICS_GOLDENS = ["evaluate_rate4_economics", "evaluate_rate8_no_responder_economics"]
+
+
+@pytest.mark.parametrize("golden", ECONOMICS_GOLDENS)
+def test_json_reader_loads_the_economics_document_it_writes(golden):
+    text = (GOLDEN_DIR / f"{golden}.json").read_text(encoding="utf-8")
+    data = json.loads(text)
+    evaluation = evaluation_from_dict(data)
+    assert evaluation == evaluation_from_dict(data["evaluation"])
+    economics = CampaignEconomics(Fraction(data["economics"]["total_cost"]),
+                                  data["economics"]["addresses"], data["economics"]["responders"])
+    assert render_combined_chart(evaluation, "json", economics) == text
+
+
+# An edited figure, an input of another JSON type (which CampaignEconomics would
+# take, and 0.0 responders leave every derived figure as 0 does), a missing
+# input, an extra key, and economics that are not an object.
+@pytest.mark.parametrize("golden", ECONOMICS_GOLDENS)
+@pytest.mark.parametrize("edit", [
+    lambda econ: econ.update(cost_per_thousand="999"),
+    lambda econ: econ.update(responders=float(econ["responders"])),
+    lambda econ: econ.update(total_cost=int(econ["total_cost"])),
+    lambda econ: econ.pop("total_cost"),
+    lambda econ: econ.update(note=1),
+], ids=["edited-cost-per-thousand", "float-responders", "number-total-cost", "no-total-cost",
+        "extra-key"])
+def test_json_reader_refuses_economics_other_than_its_figures_give(golden, edit):
+    data = json.loads((GOLDEN_DIR / f"{golden}.json").read_text(encoding="utf-8"))
+    edit(data["economics"])
+    with pytest.raises(ValueError, match="^economics: "):
+        evaluation_from_dict(data)
+    with pytest.raises(ValueError, match="^economics: "):
+        evaluation_from_dict({**data, "economics": [data["economics"]]})
+
+
 @pytest.mark.parametrize("path", [("gains", "p_down_chart"), ("beni_profile", 0, "beni_max")])
 def test_json_reader_names_a_missing_key(rate4_evaluation, path):
     data = evaluation_to_dict(rate4_evaluation)
