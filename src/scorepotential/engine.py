@@ -112,22 +112,31 @@ class ComparisonReport:
 
     By exact score potential, descending; ties break by chart approximation,
     then model id, so reports of the same batch are byte-identical in any order.
+    ranks holds each model's competition rank (1, 2, 2, 4): models of equal exact
+    and chart PoP share the rank of the first of them.
     """
 
     evaluations: tuple[ModelEvaluation, ...]
     ranking: tuple[str, ...] = field(init=False)
+    ranks: tuple[int, ...] = field(init=False)
     below_target: tuple[str, ...] = field(init=False)
 
     def __post_init__(self):
         if not self.evaluations:
             raise EmptyBatch()
-        ordered = tuple(sorted(self.evaluations,
-                               key=lambda e: (-e.pop_exact, -e.gains.pop_approx, e.model_id)))
+        ordered = tuple(sorted(self.evaluations, key=_ranking_key))
         ranking = tuple(e.model_id for e in ordered)
         if len(set(ranking)) != len(ranking):
             raise ValueError("model ids in a batch must be unique")
+        first = {}  # the place of the first model of each exact and chart PoP
+        ranks = tuple(first.setdefault(_ranking_key(e)[:2], i) + 1 for i, e in enumerate(ordered))
         below = tuple(e.model_id for e in ordered if e.meets_stretch_target is False)
-        vars(self).update(evaluations=ordered, ranking=ranking, below_target=below)
+        vars(self).update(evaluations=ordered, ranking=ranking, ranks=ranks, below_target=below)
+
+
+def _ranking_key(evaluation: ModelEvaluation) -> tuple:
+    """A report's order: exact PoP descending, then chart PoP descending, then model id."""
+    return -evaluation.pop_exact, -evaluation.gains.pop_approx, evaluation.model_id
 
 
 def evaluate_model(ctx: EvaluationContext, model_id: str) -> ModelEvaluation:

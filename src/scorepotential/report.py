@@ -461,17 +461,9 @@ def render_combined_chart(evaluation: ModelEvaluation, fmt: str = "text",
                    lambda e: evaluation_to_csv(e, economics))
 
 
-def _shared_ranks(report: ComparisonReport) -> list[int]:
-    """Competition ranks (1, 2, 2, 4), in ranking order: models of equal exact and
-    chart PoP, which the ranking puts side by side, share the first one's rank."""
-    first = {}
-    return [first.setdefault((e.pop_exact, e.gains.pop_approx), i) + 1
-            for i, e in enumerate(report.evaluations)]
-
-
 def comparison_to_csv(report: ComparisonReport) -> str:
     evaluations = report.evaluations  # a row each, under the meta columns up to the flags
-    return csv_table([["rank", *_shared_ranks(report)], *(
+    return csv_table([["rank", *report.ranks], *(
         [name, *chain.from_iterable(map(column, evaluations))]
         for name, _, column in _sections()[0][:7])])
 
@@ -483,7 +475,7 @@ def render_comparison_text(report: ComparisonReport) -> str:
                                [e.gains.pop_approx for e in evaluations]])
     lines = ["Ranking by exact score potential", "", _table(
         ["#", "Model", "PoP", "PoP'", "Target"],
-        [_cells("%d", _shared_ranks(report)), [e.model_id for e in evaluations],
+        [_cells("%d", report.ranks), [e.model_id for e in evaluations],
          _cells("%d%%", pops), _cells("%d%%", approxes),
          [gates[e.meets_stretch_target] for e in evaluations]])]
     if report.below_target:

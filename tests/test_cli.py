@@ -120,7 +120,7 @@ def test_compare_ranks_and_flags_below_target(tmp_path, rate4_csv):
     assert data["below_target"] == ["rate4"]
 
 
-@pytest.mark.parametrize("fmt", ["text", "csv"])
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
 def test_byte_identical_samples_share_a_rank_in_model_id_order(tmp_path, rate4_csv, fmt):
     """Models of equal exact and chart PoP share a competition rank (1, 2, 2, 4);
     their rows stay in model-id order, whatever the order of the files."""
@@ -135,6 +135,10 @@ def test_byte_identical_samples_share_a_rank_in_model_id_order(tmp_path, rate4_c
     assert code == 0
     if fmt == "csv":
         rows = [(int(row["rank"]), row["model_id"]) for row in csv.DictReader(io.StringIO(out))]
+    elif fmt == "json":
+        data = json.loads(out)
+        assert data["ranks"] == [1, 2, 2, 4]
+        rows = list(zip(data["ranks"], data["ranking"]))
     else:  # the rows of the table, under its header line
         rows = [(int(rank), model) for rank, model, *_ in map(str.split, out.splitlines()[3:7])]
     assert rows == [(1, "strong"), (2, "twin_a"), (2, "twin_b"), (4, "weak")]
