@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import csv
 import io
 import json
@@ -194,6 +195,16 @@ def test_json_reader_refuses_economics_other_than_its_figures_give(golden, edit)
         evaluation_from_dict(data)
     with pytest.raises(ValueError, match="^economics: "):
         evaluation_from_dict({**data, "economics": [data["economics"]]})
+
+
+# Every JSON golden of an evaluation, the economics documents included: the
+# profile's cut-offs are popped from copies of its entries, never from the entries.
+@pytest.mark.parametrize("golden", sorted(path.name for path in GOLDEN_DIR.glob("evaluate_*.json")))
+def test_a_load_leaves_its_document_unchanged(golden):
+    data = json.loads((GOLDEN_DIR / golden).read_text(encoding="utf-8"))
+    before = copy.deepcopy(data)
+    evaluation_from_dict(data)
+    assert data == before
 
 
 @pytest.mark.parametrize("path", [("gains", "p_down_chart"), ("beni_profile", 0, "beni_max")])
