@@ -182,10 +182,12 @@ def _codec(hint) -> _Codec:
                       item.parse and (lambda s: None if s == "" else item.parse(s)))
     if get_origin(hint) is tuple:  # tuple[X, ...]: a JSON list; in CSV, a table column
         item = _codec(args[0])
-        text = _fraction_text if args[0] is Fraction else None  # a chart's row cut-offs, as cached
-        return _Codec({list: "a list"}, text or (list if item.dump is None else lambda v: list(map(
-            item.dump, v))), lambda lists: [tuple(_take(item, v)) for v in lists],  # a column each
-            text or item.cell and partial(map, item.cell), item.parse)
+        dump = list if item.dump is None else lambda v: list(map(item.dump, v))
+        cell = item.cell and partial(map, item.cell)
+        if args[0] is Fraction:  # the row cut-offs of a chart: one column of text, as cached
+            dump = cell = _fraction_text
+        return _Codec({list: "a list"}, dump, lambda lists: [tuple(_take(item, v)) for v in lists],
+                      cell, item.parse)  # each list loads as a column
     if get_origin(hint) is dict:  # dict[K, V]: a list of V objects, each with K's one field
         ((key_field, _, key),) = _fields(args[0])
         name, value = FIELD_COLUMNS.get(key_field, key_field), _codec(args[1])
@@ -241,8 +243,9 @@ def _named(name: str, convert: Callable, value):  # errors named by path: "gains
 
 def _take(codec: _Codec, column: list) -> list:
     """The column loaded by the codec, whose kinds it checks once, naming the first other."""
-    for value in () if codec.kinds.keys() >= set(map(type, column)) else column:
-        _expect(value, type(value) in codec.kinds, " or ".join(codec.kinds.values()))
+    if not codec.kinds.keys() >= set(map(type, column)):
+        for value in column:
+            _expect(value, type(value) in codec.kinds, " or ".join(codec.kinds.values()))
     return column if codec.load is None else codec.load(column)
 
 
@@ -320,8 +323,7 @@ def evaluation_from_dict(data: dict) -> ModelEvaluation:
     economic = type(data) is dict and data.keys() == {"economics", "evaluation"}
     evaluation = _take(_codec(ModelEvaluation), [data["evaluation"] if economic else data])[0]
     if economic and not _is_economics_summary(data["economics"]):
-        raise ValueError("economics: expected the economics summary of its total_cost, "
-                         "addresses and responders")
+        raise ValueError("economics: expected the summary that its first three figures give")
     return evaluation
 
 

@@ -607,6 +607,15 @@ def test_a_fraction_column_other_than_row_cutoffs_is_written_a_cell_at_a_time():
         "1/3", "2", "-5/7"]
 
 
+# No loaded field is an X | None whose X converts (the economics, which hold two,
+# are written only), so the codec is checked on its own: one column, nulls kept.
+def test_an_optional_column_loads_the_values_other_than_null_as_one_column():
+    codec = report._codec(Fraction | None)
+    assert report._take(codec, [None, "1/2", None, "3"]) == [None, Fraction(1, 2), None, 3]
+    with pytest.raises(ValueError, match="^expected a p/q string or null, not 3$"):
+        report._take(codec, ["1/2", None, 3])
+
+
 def _repeat_model_id(lines):
     lines.insert(1, "model_id,other\n")
 
